@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the inner-loop operations whose
 // costs the paper's model parameterizes: dirty-bit tests, lock round trips,
 // object copies, Zipf draws, update handling in the simulator and the real
-// engine, and logical-log appends.
+// engine, logical-log appends, and the checksum and log-store restore
+// reads that set recovery time.
 //
 // Alongside the console report, every run lands as one row in
 // BENCH_micro_ops.json (override with --json-out=PATH) in the same flat
@@ -14,6 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "core/sim_executor.h"
+#include "engine/checkpoint_store.h"
 #include "engine/dirty_map.h"
 #include "engine/logical_log.h"
 #include "engine/state_table.h"
@@ -84,6 +86,65 @@ void BM_Crc32PerObject(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_Crc32PerObject);
+
+// Checksum throughput over one 8 MB image: a log-store restore checksums
+// every byte it reads, so this bounds its speed.
+void BM_Crc32Image8MB(benchmark::State& state) {
+  std::vector<uint8_t> image(8 << 20);
+  for (size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<uint8_t>(i * 131 + (i >> 12));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(image.data(), image.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * image.size());
+}
+BENCHMARK(BM_Crc32Image8MB);
+
+// LogStore::Restore of one generation from the page cache: an 8 MB full
+// flush followed by 8 incremental segments of 1% of the objects each.
+void BM_LogStoreRestore8MB(benchmark::State& state) {
+  const StateLayout layout = StateLayout::Small(204800, 10);  // 8 MB
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "tp_bench_logstore").string();
+  std::filesystem::remove_all(dir);
+  auto store_or = LogStore::Open(dir, layout, /*fsync_enabled=*/false);
+  TP_CHECK_OK(store_or.status());
+  LogStore& store = *store_or.value();
+  StateTable table(layout);
+  for (CellId c = 0; c < layout.num_cells(); ++c) {
+    table.WriteCell(c, static_cast<int32_t>(c));
+  }
+  const uint64_t n = layout.num_objects();
+  TP_CHECK_OK(store.BeginGeneration(0));
+  TP_CHECK_OK(store.BeginSegment(0, 1, /*full_flush=*/true, n));
+  TP_CHECK_OK(store.AppendRun(0, table.data(), n));
+  TP_CHECK_OK(store.CommitSegment());
+  Rng rng(42);
+  const uint64_t per_segment = n / 100;
+  for (uint64_t seg = 1; seg <= 8; ++seg) {
+    TP_CHECK_OK(store.BeginSegment(seg, seg + 1, false, per_segment));
+    for (uint64_t i = 0; i < per_segment; ++i) {
+      const ObjectId id = rng.Uniform(n);
+      TP_CHECK_OK(store.AppendObject(id, table.ObjectData(id)));
+    }
+    TP_CHECK_OK(store.CommitSegment());
+  }
+  uint64_t bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    bytes += entry.file_size();
+  }
+  StateTable restored(layout);
+  for (auto _ : state) {
+    auto image = store.Restore(&restored);
+    TP_CHECK_OK(image.status());
+    benchmark::DoNotOptimize(restored.mutable_data());
+    benchmark::ClobberMemory();
+  }
+  std::filesystem::remove_all(dir);
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_LogStoreRestore8MB);
 
 void BM_StateTableCellWrite(benchmark::State& state) {
   StateTable table(StateLayout::Small(4096, 10));

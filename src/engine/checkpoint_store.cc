@@ -1,5 +1,6 @@
 #include "engine/checkpoint_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 
@@ -40,6 +41,10 @@ struct SegmentHeader {
 static_assert(sizeof(SegmentHeader) == 40);
 
 constexpr uint64_t kBackupDataOffset = 512;  // header block, sector aligned
+
+/// Read size of LogStore restores and scans: large enough that the
+/// checksum, not the syscalls, sets the pace.
+constexpr uint64_t kRestoreBlockBytes = uint64_t{1} << 20;
 
 }  // namespace
 
@@ -406,31 +411,22 @@ StatusOr<std::vector<SegmentInfo>> LogStore::ListSegments(uint64_t gen) {
 StatusOr<ImageInfo> LogStore::Restore(StateTable* out,
                                       uint64_t max_consistent_tick) {
   TP_CHECK(out->layout().num_objects() == layout_.num_objects());
-  // Find the newest generation with an intact full flush no newer than the
-  // bound.
+  // The newest generation with an intact full flush no newer than the
+  // bound wins. A rejected generation may have applied records before its
+  // corruption showed; the next candidate's full flush overwrites them.
   for (uint64_t gen = current_gen_ + 1; gen-- > 0;) {
     if (!FileExists(GenPath(gen))) continue;
-    auto segments_or = ScanGeneration(gen, nullptr);
-    if (!segments_or.ok()) continue;
-    const auto& segments = segments_or.value();
-    if (segments.empty() || !segments.front().full_flush ||
-        segments.front().object_count != layout_.num_objects() ||
-        segments.front().consistent_tick > max_consistent_tick) {
-      // Torn or incomplete full flush, or one entirely past the bound:
-      // try an older generation.
-      continue;
-    }
-    TP_RETURN_NOT_OK(ScanGeneration(gen, out, max_consistent_tick).status());
+    auto applied_or = ScanGeneration(gen, out, max_consistent_tick);
+    if (!applied_or.ok() || applied_or->empty()) continue;
+    // Report the newest segment applied (within the bound).
+    const SegmentInfo& newest = applied_or->back();
     ImageInfo info;
     info.valid = true;
-    // Report the newest segment actually applied (within the bound).
-    for (const SegmentInfo& segment : segments) {
-      if (segment.consistent_tick > max_consistent_tick) break;
-      info.seq = segment.seq;
-      info.consistent_tick = segment.consistent_tick;
-    }
+    info.seq = newest.seq;
+    info.consistent_tick = newest.consistent_tick;
     return info;
   }
+  out->Clear();
   return Status::NotFound("no recoverable log generation in " + dir_);
 }
 
@@ -439,41 +435,74 @@ StatusOr<std::vector<SegmentInfo>> LogStore::ScanGeneration(
   FileReader reader;
   TP_RETURN_NOT_OK(reader.Open(GenPath(gen)));
   TP_ASSIGN_OR_RETURN(const uint64_t file_size, reader.Size());
+  const uint64_t record_bytes = sizeof(uint64_t) + layout_.object_size;
+  // One bounded buffer serves every segment: whole records only, so the
+  // id of each record sits at a fixed stride inside a block.
+  const uint64_t block_records =
+      std::max<uint64_t>(1, kRestoreBlockBytes / record_bytes);
+  const uint64_t block_bytes = block_records * record_bytes;
+  std::unique_ptr<uint8_t[]> block(new uint8_t[block_bytes]);
   std::vector<SegmentInfo> segments;
   uint64_t offset = 0;
-  std::vector<uint8_t> object_buf(layout_.object_size);
   while (offset + sizeof(SegmentHeader) + sizeof(uint32_t) <= file_size) {
     SegmentHeader header;
     TP_RETURN_NOT_OK(reader.ReadAt(offset, &header, sizeof(header)));
     if (header.magic != kSegmentMagic) break;
-    const uint64_t record_bytes = sizeof(uint64_t) + layout_.object_size;
-    const uint64_t segment_bytes = sizeof(SegmentHeader) +
-                                   header.object_count * record_bytes +
-                                   sizeof(uint32_t);
-    if (offset + segment_bytes > file_size) break;  // torn tail
-    // Validate the whole segment before applying anything from it.
-    uint32_t crc = Crc32(&header, sizeof(header));
-    for (uint64_t i = 0; i < header.object_count; ++i) {
-      uint64_t id;
-      TP_RETURN_NOT_OK(reader.ReadExact(&id, sizeof(id)));
-      TP_RETURN_NOT_OK(reader.ReadExact(object_buf.data(), object_buf.size()));
-      if (id >= layout_.num_objects()) {
-        return Status::Corruption("object id out of range in " + GenPath(gen));
+    const uint64_t body_limit =
+        file_size - offset - sizeof(SegmentHeader) - sizeof(uint32_t);
+    if (header.object_count > body_limit / record_bytes) break;  // torn tail
+    const uint64_t records_bytes = header.object_count * record_bytes;
+    if (out != nullptr) {
+      if (segments.empty() &&
+          (header.full_flush == 0 ||
+           header.object_count != layout_.num_objects() ||
+           header.consistent_tick > max_consistent_tick)) {
+        // Incomplete or past-the-bound full flush: the generation cannot
+        // restore anything, and the header alone says so.
+        break;
       }
-      crc = Crc32(&id, sizeof(id), crc);
-      crc = Crc32(object_buf.data(), object_buf.size(), crc);
+      // Segments are appended in tick order: the rest are past the bound.
+      if (header.consistent_tick > max_consistent_tick) break;
+    }
+    // Pass 1: checksum the whole segment before applying any of it, noting
+    // the largest object id on the way.
+    uint32_t crc = Crc32(&header, sizeof(header));
+    uint64_t max_id = 0;
+    for (uint64_t done = 0; done < records_bytes;) {
+      const uint64_t n = std::min(block_bytes, records_bytes - done);
+      TP_RETURN_NOT_OK(reader.ReadExact(block.get(), n));
+      crc = Crc32(block.get(), n, crc);
+      for (uint64_t r = 0; r < n; r += record_bytes) {
+        uint64_t id;
+        std::memcpy(&id, block.get() + r, sizeof(id));
+        max_id = std::max(max_id, id);
+      }
+      done += n;
     }
     uint32_t stored;
     TP_RETURN_NOT_OK(reader.ReadExact(&stored, sizeof(stored)));
-    if (stored != crc) break;  // uncommitted/corrupt: stop at this segment
-    if (out != nullptr && header.consistent_tick <= max_consistent_tick) {
-      TP_RETURN_NOT_OK(reader.Seek(offset + sizeof(SegmentHeader)));
-      for (uint64_t i = 0; i < header.object_count; ++i) {
-        uint64_t id;
-        TP_RETURN_NOT_OK(reader.ReadExact(&id, sizeof(id)));
-        TP_RETURN_NOT_OK(
-            reader.ReadExact(object_buf.data(), object_buf.size()));
-        out->LoadObject(id, object_buf.data());
+    // Uncommitted or corrupt: like any torn tail, the scan ends here.
+    if (stored != crc) break;
+    // Only a checksummed segment's ids are trusted enough to reject on.
+    if (max_id >= layout_.num_objects()) {
+      return Status::Corruption("object id out of range in " + GenPath(gen));
+    }
+    // Pass 2: apply, straight from the block when the segment fit in one,
+    // else re-reading it block by block.
+    if (out != nullptr) {
+      const uint64_t records_offset = offset + sizeof(SegmentHeader);
+      for (uint64_t done = 0; done < records_bytes;) {
+        const uint64_t n = std::min(block_bytes, records_bytes - done);
+        if (records_bytes > block_bytes) {
+          TP_RETURN_NOT_OK(
+              reader.ReadAt(records_offset + done, block.get(), n));
+        }
+        for (uint64_t r = 0; r < n; r += record_bytes) {
+          uint64_t id;
+          std::memcpy(&id, block.get() + r, sizeof(id));
+          out->LoadObject(id, block.get() + r + sizeof(id));
+        }
+        done += n;
       }
     }
     SegmentInfo info;
@@ -482,7 +511,7 @@ StatusOr<std::vector<SegmentInfo>> LogStore::ScanGeneration(
     info.object_count = header.object_count;
     info.full_flush = header.full_flush != 0;
     segments.push_back(info);
-    offset += segment_bytes;
+    offset += sizeof(SegmentHeader) + records_bytes + sizeof(uint32_t);
   }
   return segments;
 }

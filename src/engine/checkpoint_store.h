@@ -23,8 +23,11 @@
 // are appended as self-validating segments. A full flush starts a new log
 // generation; once it commits, older generations are deleted (this bounds
 // the log read-back at recovery to C incremental segments plus one full
-// flush, the paper's (k*C + n) model). Appends are already torn-safe (the
-// trailing segment CRC), so staged runs append as before -- no doublewrite.
+// flush, the paper's (k*C + n) model). Restore reads that generation once,
+// front to back, so recovery pays exactly the (k*C + n) term: each segment
+// is checksummed over large block reads and then applied from the same
+// bounded buffer. Appends are already torn-safe (the trailing segment CRC),
+// so staged runs append as before -- no doublewrite.
 #ifndef TICKPOINT_ENGINE_CHECKPOINT_STORE_H_
 #define TICKPOINT_ENGINE_CHECKPOINT_STORE_H_
 
@@ -224,9 +227,10 @@ class LogStore {
   /// whose full flush is intact and consistent no later than
   /// `max_consistent_tick`, applies its valid segments with consistent
   /// tick <= the bound in order, and reports the consistent tick reached.
+  /// A torn or CRC-failing segment ends the generation like a torn tail.
   /// `out` must be zero/any state; it is fully overwritten by the full
-  /// flush. The bound (default: none) is how cut recovery rewinds past
-  /// checkpoints newer than the cut.
+  /// flush, and left cleared on NotFound. The bound (default: none) is how
+  /// cut recovery rewinds past checkpoints newer than the cut.
   StatusOr<ImageInfo> Restore(StateTable* out,
                               uint64_t max_consistent_tick = UINT64_MAX);
 
@@ -240,9 +244,12 @@ class LogStore {
   Status MakeDurable(FileWriter* writer);
 
   std::string GenPath(uint64_t gen) const;
-  /// Scans a generation file; applies records of segments with consistent
-  /// tick <= `max_consistent_tick` to `out` if non-null (later segments
-  /// are still listed).
+  /// Walks a generation file once, segment by segment, stopping at the
+  /// first torn or CRC-failing one. With `out` null, lists every valid
+  /// segment. Otherwise applies and lists the segments with consistent tick
+  /// <= `max_consistent_tick`, and lists nothing when the first segment is
+  /// not a complete full flush within that bound. Corruption when a
+  /// checksummed segment names an object id out of range.
   StatusOr<std::vector<SegmentInfo>> ScanGeneration(
       uint64_t gen, StateTable* out,
       uint64_t max_consistent_tick = UINT64_MAX);

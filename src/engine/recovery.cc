@@ -1,8 +1,11 @@
 #include "engine/recovery.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <thread>
 #include <utility>
 
 #include "engine/checkpoint_store.h"
@@ -104,40 +107,56 @@ StatusOr<RecoveryResult> Recover(const EngineConfig& config,
 
 namespace {
 
-/// Folds one shard's outcome into the fleet aggregate.
-void AccumulateShard(const RecoveryResult& shard_result, uint32_t shard,
-                     ShardedRecoveryResult* result) {
-  result->restore_seconds += shard_result.restore_seconds;
-  result->replay_seconds += shard_result.replay_seconds;
-  const uint64_t recovered = shard_result.recovered_ticks;
-  if (shard == 0) {
-    result->min_recovered_ticks = recovered;
-    result->max_recovered_ticks = recovered;
-  } else {
-    result->min_recovered_ticks =
-        std::min(result->min_recovered_ticks, recovered);
-    result->max_recovered_ticks =
-        std::max(result->max_recovered_ticks, recovered);
-  }
-  result->shards.push_back(shard_result);
-}
+/// Recovers one shard (config.dir is its directory) into `out`.
+using ShardRecoverFn =
+    std::function<StatusOr<RecoveryResult>(const EngineConfig&, StateTable*)>;
 
-/// Shared per-partition crash-recovery loop: partition p restores from
-/// `dirs[p]` (the manifest's assignment- and mount-resolved directory).
-StatusOr<ShardedRecoveryResult> RecoverPartitionsImpl(
+/// The per-partition fan-out behind every fleet recovery: partition p
+/// recovers from `dirs[p]` (the manifest's assignment- and mount-resolved
+/// directory) into (*out)[p]. Shards share no files or tables, so up to
+/// hardware_concurrency() workers recover them in parallel. Outcomes fold
+/// in shard order: the lowest failing shard's status is returned, exactly
+/// the one a serial loop would have stopped at.
+StatusOr<ShardedRecoveryResult> RecoverShards(
     const ShardedEngineConfig& config, const std::vector<std::string>& dirs,
-    std::vector<StateTable>* out) {
-  ShardedRecoveryResult result;
-  result.shards.reserve(config.num_shards);
+    std::vector<StateTable>* out, const ShardRecoverFn& recover) {
+  const uint32_t num_shards = config.num_shards;
   out->clear();
-  out->reserve(config.num_shards);
-  for (uint32_t i = 0; i < config.num_shards; ++i) {
-    EngineConfig shard_config = config.shard;
-    shard_config.dir = dirs[i];
-    out->emplace_back(shard_config.layout);
-    TP_ASSIGN_OR_RETURN(const RecoveryResult shard_result,
-                        Recover(shard_config, &out->back()));
-    AccumulateShard(shard_result, i, &result);
+  out->reserve(num_shards);
+  for (uint32_t i = 0; i < num_shards; ++i) {
+    out->emplace_back(config.shard.layout);
+  }
+  std::vector<StatusOr<RecoveryResult>> outcomes(
+      num_shards, Status::Internal("shard not recovered"));
+  std::atomic<uint32_t> next{0};
+  auto work = [&] {
+    for (uint32_t i = next.fetch_add(1); i < num_shards;
+         i = next.fetch_add(1)) {
+      EngineConfig shard_config = config.shard;
+      shard_config.dir = dirs[i];
+      outcomes[i] = recover(shard_config, &(*out)[i]);
+    }
+  };
+  const uint32_t workers =
+      std::min(num_shards, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  for (uint32_t w = 1; w < workers; ++w) helpers.emplace_back(work);
+  work();
+  for (std::thread& helper : helpers) helper.join();
+
+  ShardedRecoveryResult result;
+  result.shards.reserve(num_shards);
+  for (uint32_t i = 0; i < num_shards; ++i) {
+    if (!outcomes[i].ok()) return outcomes[i].status();
+    const RecoveryResult& shard_result = outcomes[i].value();
+    result.restore_seconds += shard_result.restore_seconds;
+    result.replay_seconds += shard_result.replay_seconds;
+    const uint64_t recovered = shard_result.recovered_ticks;
+    result.min_recovered_ticks =
+        i == 0 ? recovered : std::min(result.min_recovered_ticks, recovered);
+    result.max_recovered_ticks =
+        i == 0 ? recovered : std::max(result.max_recovered_ticks, recovered);
+    result.shards.push_back(shard_result);
   }
   return result;
 }
@@ -191,7 +210,7 @@ StatusOr<ShardedCutRecoveryResult> RecoverPartitionsToCutImpl(
   }
   if (!manifest_or.ok()) {
     TP_ASSIGN_OR_RETURN(result.fleet,
-                        RecoverPartitionsImpl(config, dirs, out));
+                        RecoverShards(config, dirs, out, Recover));
     return result;
   }
   const CutManifest& manifest = manifest_or.value();
@@ -204,35 +223,28 @@ StatusOr<ShardedCutRecoveryResult> RecoverPartitionsToCutImpl(
         std::to_string(manifest.shards.size()) + " shards, config expects " +
         std::to_string(config.num_shards));
   }
-  result.used_manifest = true;
-  result.cut_tick = manifest.cut_tick;
-  result.fleet.shards.reserve(config.num_shards);
-  out->clear();
-  out->reserve(config.num_shards);
-  for (uint32_t i = 0; i < config.num_shards; ++i) {
-    EngineConfig shard_config = config.shard;
-    shard_config.dir = dirs[i];
-    out->emplace_back(shard_config.layout);
-    auto shard_or = RecoverToTick(shard_config, manifest.cut_tick,
-                                  &out->back());
-    if (!shard_or.ok()) {
-      if (shard_or.status().code() == StatusCode::kCorruption) {
-        // The manifest is committed but its cut is no longer reproducible
-        // from this shard's durable sources -- e.g. a death during a
-        // fleet resume after this shard's bootstrap truncated the
-        // logical log the (older) cut depended on. Same
-        // treatment as a torn manifest: per-shard exact fallback
-        // (clears and refills `out`).
-        ShardedCutRecoveryResult fallback;
-        auto fallback_or = RecoverPartitionsImpl(config, dirs, out);
-        if (!fallback_or.ok()) return fallback_or.status();
-        fallback.fleet = std::move(fallback_or).value();
-        return fallback;
-      }
-      return shard_or.status();
+  const uint64_t cut_tick = manifest.cut_tick;
+  auto fleet_or = RecoverShards(
+      config, dirs, out,
+      [cut_tick](const EngineConfig& shard_config, StateTable* table) {
+        return RecoverToTick(shard_config, cut_tick, table);
+      });
+  if (!fleet_or.ok()) {
+    if (fleet_or.status().code() != StatusCode::kCorruption) {
+      return fleet_or.status();
     }
-    AccumulateShard(shard_or.value(), i, &result.fleet);
+    // The manifest is committed but its cut is no longer reproducible
+    // from some shard's durable sources -- e.g. a death during a fleet
+    // resume after that shard's bootstrap truncated the logical log the
+    // (older) cut depended on. Same treatment as a torn manifest:
+    // per-shard exact fallback (clears and refills `out`).
+    TP_ASSIGN_OR_RETURN(result.fleet,
+                        RecoverShards(config, dirs, out, Recover));
+    return result;
   }
+  result.used_manifest = true;
+  result.cut_tick = cut_tick;
+  result.fleet = std::move(fleet_or).value();
   return result;
 }
 
@@ -276,9 +288,8 @@ StatusOr<FleetRecoveryOutcome> RecoverFleet(const std::string& root,
   TP_ASSIGN_OR_RETURN(outcome.manifest, ReadManifestForRecovery(root));
   const ShardedEngineConfig config = ConfigFromManifest(outcome.manifest,
                                                         root);
-  auto fleet_or =
-      RecoverPartitionsImpl(config, PartitionDirs(outcome.manifest, root),
-                            out);
+  auto fleet_or = RecoverShards(
+      config, PartitionDirs(outcome.manifest, root), out, Recover);
   if (!fleet_or.ok()) return fleet_or.status();
   outcome.result.fleet = std::move(fleet_or).value();
   return outcome;
@@ -379,32 +390,26 @@ StatusOr<FleetRecoveryOutcome> RecoverFleetToTick(
   const ShardedEngineConfig config = ConfigFromManifest(outcome.manifest,
                                                         root);
   const std::vector<std::string> dirs = PartitionDirs(outcome.manifest, root);
+  auto fleet_or = RecoverShards(
+      config, dirs, out,
+      [tick](const EngineConfig& shard_config, StateTable* table) {
+        return RecoverToHistoricTick(shard_config, tick, table);
+      });
+  if (!fleet_or.ok()) {
+    if (fleet_or.status().code() != StatusCode::kCorruption) {
+      return fleet_or.status();
+    }
+    // Some shard cannot reproduce the tick (outside its retained window,
+    // or its history is torn). All-or-nothing: fall back to per-shard
+    // latest recovery (clears and refills `out`) rather than mixing
+    // timelines across shards.
+    TP_ASSIGN_OR_RETURN(outcome.result.fleet,
+                        RecoverShards(config, dirs, out, Recover));
+    return outcome;
+  }
   outcome.result.used_manifest = true;
   outcome.result.cut_tick = tick;
-  outcome.result.fleet.shards.reserve(config.num_shards);
-  out->clear();
-  out->reserve(config.num_shards);
-  for (uint32_t i = 0; i < config.num_shards; ++i) {
-    EngineConfig shard_config = config.shard;
-    shard_config.dir = dirs[i];
-    out->emplace_back(shard_config.layout);
-    auto shard_or = RecoverToHistoricTick(shard_config, tick, &out->back());
-    if (!shard_or.ok()) {
-      if (shard_or.status().code() == StatusCode::kCorruption) {
-        // Some shard cannot reproduce the tick (outside its retained
-        // window, or its history is torn). All-or-nothing: fall back to
-        // per-shard latest recovery (clears and refills `out`) rather
-        // than mixing timelines across shards.
-        outcome.result = ShardedCutRecoveryResult{};
-        auto fallback_or = RecoverPartitionsImpl(config, dirs, out);
-        if (!fallback_or.ok()) return fallback_or.status();
-        outcome.result.fleet = std::move(fallback_or).value();
-        return outcome;
-      }
-      return shard_or.status();
-    }
-    AccumulateShard(shard_or.value(), i, &outcome.result.fleet);
-  }
+  outcome.result.fleet = std::move(fleet_or).value();
   return outcome;
 }
 

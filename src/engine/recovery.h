@@ -54,8 +54,8 @@ struct ShardedRecoveryResult {
   /// image_seq/image_consistent_ticks differ per shard while every shard
   /// still replays its own logical log to the common crash tick.
   std::vector<RecoveryResult> shards;
-  /// Sums of the per-shard phase times (shards recover sequentially: one
-  /// disk serves the restore reads).
+  /// Sums of the per-shard phase times. Shards recover concurrently, so
+  /// these are total work across shards, not fleet wall time.
   double restore_seconds = 0.0;
   double replay_seconds = 0.0;
   /// min/max over shards of RecoveryResult::recovered_ticks. Equal unless a

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include "engine/doublewrite.h"
 #include "engine/logical_log.h"
@@ -15,6 +17,10 @@ namespace {
 
 /// Offset of object 0 in a backup image (one sector-aligned header block).
 constexpr uint64_t kBackupDataOffset = 512;
+
+/// Log segment framing: a 40-byte header, the records, a 4-byte CRC.
+constexpr uint64_t kSegmentHeaderBytes = 40;
+constexpr uint64_t kSegmentCrcBytes = 4;
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -467,6 +473,205 @@ TEST_F(StoreTest, LogDropGenerations) {
   EXPECT_FALSE(FileExists(dir_ + "/log-0.img"));
   EXPECT_FALSE(FileExists(dir_ + "/log-1.img"));
   EXPECT_TRUE(FileExists(dir_ + "/log-2.img"));
+}
+
+TEST_F(StoreTest, LogCorruptTailIdEndsScanAtPreviousSegment) {
+  auto store_or = LogStore::Open(dir_, layout_, false);
+  ASSERT_TRUE(store_or.ok());
+  auto& store = *store_or.value();
+  StateTable state = MakeState(11);
+  ASSERT_TRUE(store.BeginGeneration(0).ok());
+  ASSERT_TRUE(store.BeginSegment(0, 1, true, layout_.num_objects()).ok());
+  ASSERT_TRUE(store.AppendRun(0, state.data(), layout_.num_objects()).ok());
+  ASSERT_TRUE(store.CommitSegment().ok());
+  state.WriteCell(0, 404);
+  ASSERT_TRUE(store.BeginSegment(1, 2, false, 1).ok());
+  ASSERT_TRUE(store.AppendObject(0, state.ObjectData(0)).ok());
+  ASSERT_TRUE(store.CommitSegment().ok());
+  StateTable expected(layout_);
+  std::memcpy(expected.mutable_data(), state.data(), state.buffer_bytes());
+  state.WriteCell(200, 505);
+  ASSERT_TRUE(store.BeginSegment(2, 3, false, 2).ok());
+  ASSERT_TRUE(store.AppendRun(1, state.ObjectData(1), 2).ok());
+  ASSERT_TRUE(store.CommitSegment().ok());
+
+  // Bit rot in the tail segment's first record id: its bytes now decode
+  // to an id past the table, and its CRC no longer matches.
+  const uint64_t record_bytes = sizeof(uint64_t) + layout_.object_size;
+  const uint64_t tail_offset = 2 * (kSegmentHeaderBytes + kSegmentCrcBytes) +
+                               (layout_.num_objects() + 1) * record_bytes;
+  {
+    FileWriter writer;
+    ASSERT_TRUE(writer.OpenForUpdate(dir_ + "/log-0.img").ok());
+    const uint64_t first_id_offset = tail_offset + kSegmentHeaderBytes;
+    const uint64_t bad_id = ~uint64_t{0};
+    ASSERT_TRUE(writer.WriteAt(first_id_offset, &bad_id, sizeof(bad_id)).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+
+  // A torn tail, not a corrupt generation: the full flush and the intact
+  // segment still restore.
+  StateTable restored(layout_);
+  auto image = store.Restore(&restored);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ(image->seq, 1u);
+  EXPECT_EQ(image->consistent_tick, 2u);
+  EXPECT_TRUE(restored.ContentEquals(expected));
+  auto segments = store.ListSegments(0);
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  EXPECT_EQ(segments->size(), 2u);
+}
+
+// Truncates one generation at every segment boundary (+-1 byte) and in the
+// middle of every segment, and checks Restore, with and without a tick
+// bound, against a reference built by applying the intact segments in
+// order. The geometry puts the full flush and one incremental segment past
+// the restore block size, so both the one-block and the multi-block paths
+// run.
+TEST_F(StoreTest, LogRestoreTruncationSweep) {
+  const StateLayout layout = StateLayout::Small(27000, 10);  // 2110 objects
+  const uint64_t n = layout.num_objects();
+  const uint64_t record_bytes = sizeof(uint64_t) + layout.object_size;
+  ASSERT_GT(n * record_bytes, uint64_t{1} << 20);
+  auto store_or = LogStore::Open(dir_, layout, false);
+  ASSERT_TRUE(store_or.ok());
+  auto& store = *store_or.value();
+
+  struct Segment {
+    uint64_t seq;
+    uint64_t tick;
+    bool full_flush;
+    std::vector<ObjectId> ids;
+    uint64_t end = 0;  // file offset one past the segment
+  };
+  auto fill = [&](StateTable* table, int32_t salt) {
+    for (CellId c = 0; c < layout.num_cells(); ++c) {
+      table->WriteCell(c, static_cast<int32_t>(c) * 7 + salt);
+    }
+  };
+  auto write_segment = [&](Segment* seg, const StateTable& state,
+                           uint64_t* offset) {
+    ASSERT_TRUE(store.BeginSegment(seg->seq, seg->tick, seg->full_flush,
+                                   seg->ids.size())
+                    .ok());
+    for (ObjectId id : seg->ids) {
+      ASSERT_TRUE(store.AppendObject(id, state.ObjectData(id)).ok());
+    }
+    ASSERT_TRUE(store.CommitSegment().ok());
+    *offset += kSegmentHeaderBytes + seg->ids.size() * record_bytes +
+               kSegmentCrcBytes;
+    seg->end = *offset;
+  };
+
+  // Generation 0: a lone full flush at tick 5 -- the fallback target.
+  StateTable gen0(layout);
+  fill(&gen0, 1);
+  std::vector<ObjectId> all(n);
+  for (ObjectId o = 0; o < n; ++o) all[o] = o;
+  uint64_t offset = 0;
+  ASSERT_TRUE(store.BeginGeneration(0).ok());
+  Segment gen0_flush{0, 5, true, all};
+  write_segment(&gen0_flush, gen0, &offset);
+
+  // Generation 1: full flush at tick 10, then incrementals of assorted
+  // sizes (one larger than a block), each a snapshot of the evolving state.
+  std::vector<Segment> segments;
+  std::vector<StateTable> snapshots;
+  StateTable state(layout);
+  fill(&state, 2);
+  offset = 0;
+  ASSERT_TRUE(store.BeginGeneration(1).ok());
+  segments.push_back(Segment{1, 10, true, all});
+  const std::vector<ObjectId> big(all.begin() + 30, all.begin() + 2090);
+  const std::vector<std::vector<ObjectId>> increments = {
+      {3}, {0, 7, 8, 2109}, {}, big, {11, 12}};
+  for (size_t k = 0; k < increments.size(); ++k) {
+    segments.push_back(Segment{2 + k, 11 + k, false, increments[k]});
+  }
+  for (size_t k = 0; k < segments.size(); ++k) {
+    for (ObjectId id : segments[k].ids) {
+      state.WriteCell(id * layout.cells_per_object(),
+                      static_cast<int32_t>(1000 + k));
+    }
+    snapshots.emplace_back(layout);
+    std::memcpy(snapshots.back().mutable_data(), state.data(),
+                state.buffer_bytes());
+    write_segment(&segments[k], state, &offset);
+  }
+  const std::string gen1_path = dir_ + "/log-1.img";
+
+  // Cut points, largest first so one file can be truncated in place.
+  std::vector<uint64_t> cuts = {offset};
+  uint64_t begin = 0;
+  for (const Segment& seg : segments) {
+    for (uint64_t cut : {seg.end - 1, seg.end + 1, (begin + seg.end) / 2}) {
+      if (cut < offset) cuts.push_back(cut);
+    }
+    if (seg.end < offset) cuts.push_back(seg.end);
+    cuts.push_back(begin + 1);
+    begin = seg.end;
+  }
+  std::sort(cuts.rbegin(), cuts.rend());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+  std::vector<uint64_t> bounds = {UINT64_MAX, 4};
+  for (const Segment& seg : segments) {
+    bounds.push_back(seg.tick);
+    bounds.push_back(seg.tick - 1);  // strictly between two segments
+  }
+
+  for (uint64_t cut : cuts) {
+    std::filesystem::resize_file(gen1_path, cut);
+    // The segments wholly inside the cut survive.
+    size_t intact = 0;
+    while (intact < segments.size() && segments[intact].end <= cut) {
+      ++intact;
+    }
+    auto listed = store.ListSegments(1);
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    ASSERT_EQ(listed->size(), intact) << "cut " << cut;
+    for (size_t k = 0; k < intact; ++k) {
+      EXPECT_EQ((*listed)[k].seq, segments[k].seq);
+      EXPECT_EQ((*listed)[k].consistent_tick, segments[k].tick);
+      EXPECT_EQ((*listed)[k].object_count, segments[k].ids.size());
+      EXPECT_EQ((*listed)[k].full_flush, segments[k].full_flush);
+    }
+
+    for (uint64_t bound : bounds) {
+      SCOPED_TRACE("cut " + std::to_string(cut) + " bound " +
+                   std::to_string(bound));
+      size_t usable = 0;
+      while (usable < intact && segments[usable].tick <= bound) ++usable;
+      StateTable restored(layout);
+      fill(&restored, 3);  // stale contents Restore must not leak
+      auto image = store.Restore(&restored, bound);
+      if (usable == 0 && bound < gen0_flush.tick) {
+        // Nothing qualifies: NotFound, table left cleared.
+        ASSERT_EQ(image.status().code(), StatusCode::kNotFound);
+        EXPECT_TRUE(restored.ContentEquals(StateTable(layout)));
+        continue;
+      }
+      ASSERT_TRUE(image.ok()) << image.status().ToString();
+      StateTable expected(layout);
+      if (usable == 0) {
+        // Newest full flush torn or past the bound: generation 0.
+        for (ObjectId id : gen0_flush.ids) {
+          expected.LoadObject(id, gen0.ObjectData(id));
+        }
+        EXPECT_EQ(image->seq, gen0_flush.seq);
+        EXPECT_EQ(image->consistent_tick, gen0_flush.tick);
+      } else {
+        for (size_t k = 0; k < usable; ++k) {
+          for (ObjectId id : segments[k].ids) {
+            expected.LoadObject(id, snapshots[k].ObjectData(id));
+          }
+        }
+        EXPECT_EQ(image->seq, segments[usable - 1].seq);
+        EXPECT_EQ(image->consistent_tick, segments[usable - 1].tick);
+      }
+      EXPECT_TRUE(restored.ContentEquals(expected));
+    }
+  }
 }
 
 TEST_F(StoreTest, LogicalLogRoundTrip) {
