@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the inner-loop operations whose
 // costs the paper's model parameterizes: dirty-bit tests, lock round trips,
 // object copies, Zipf draws, update handling in the simulator and the real
-// engine, logical-log appends, and the checksum and log-store restore
-// reads that set recovery time.
+// engine, logical-log appends, the checksum and log-store restore reads
+// that set recovery time, and one double-backup checkpoint write.
 //
 // Alongside the console report, every run lands as one row in
 // BENCH_micro_ops.json (override with --json-out=PATH) in the same flat
@@ -12,9 +12,11 @@
 
 #include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/sim_executor.h"
+#include "engine/checkpoint_session.h"
 #include "engine/checkpoint_store.h"
 #include "engine/dirty_map.h"
 #include "engine/logical_log.h"
@@ -145,6 +147,59 @@ void BM_LogStoreRestore8MB(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_LogStoreRestore8MB);
+
+// One double-backup checkpoint of an 8 MB image through the async
+// backend, the way the engine writes it: header invalidate, the dirty
+// objects streamed through a CheckpointWriteSession's buffer ring into
+// in-place runs, then the data and header commit. Arg = percent of objects
+// dirty (100 = a full image). fsync off: this measures the pipeline and
+// the page-cache writes, not the disk.
+void BM_BackupCheckpoint8MB(benchmark::State& state) {
+  const StateLayout layout = StateLayout::Small(204800, 10);  // 8 MB
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "tp_bench_backup").string();
+  std::filesystem::remove_all(dir);
+  auto backend = IoBackend::Create(IoBackendKind::kAsync);
+  auto store_or = BackupStore::Open(dir, layout, /*fsync_enabled=*/false,
+                                    backend.get());
+  TP_CHECK_OK(store_or.status());
+  BackupStore& store = *store_or.value();
+  StateTable table(layout);
+  for (CellId c = 0; c < layout.num_cells(); ++c) {
+    table.WriteCell(c, static_cast<int32_t>(c));
+  }
+  const uint64_t n = layout.num_objects();
+  std::vector<bool> dirty(n, state.range(0) >= 100);
+  Rng rng(42);
+  for (uint64_t i = 0; i < n * state.range(0) / 100; ++i) {
+    dirty[rng.Uniform(n)] = true;
+  }
+  uint64_t dirty_objects = 0;
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    TP_CHECK_OK(store.BeginCheckpoint(0));
+    CheckpointWriteSession session(
+        layout.object_size, backend.get(),
+        [&](ObjectId first, const uint8_t* data, uint64_t count) {
+          return store.WriteRange(0, first, data, count);
+        });
+    for (ObjectId o = 0; o < n; ++o) {
+      if (dirty[o]) TP_CHECK_OK(session.Add(o, table.ObjectData(o)));
+    }
+    TP_CHECK_OK(session.Finish());
+    ++seq;
+    TP_CHECK_OK(store.FinishCheckpoint(0, seq, seq, 0));
+    dirty_objects = session.objects_added();
+  }
+  std::filesystem::remove_all(dir);
+  state.SetBytesProcessed(state.iterations() * dirty_objects *
+                          layout.object_size);
+}
+BENCHMARK(BM_BackupCheckpoint8MB)
+    ->Arg(100)
+    ->Arg(5)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_StateTableCellWrite(benchmark::State& state) {
   StateTable table(StateLayout::Small(4096, 10));

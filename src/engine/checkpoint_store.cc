@@ -66,23 +66,10 @@ std::string BackupStore::ImageFileName(int index) {
 
 StatusOr<std::unique_ptr<BackupStore>> BackupStore::Open(
     const std::string& dir, const StateLayout& layout, bool fsync_enabled,
-    IoBackend* backend, bool replay_doublewrite) {
-  TP_RETURN_NOT_OK(EnsureDirectory(dir));
+    IoBackend* backend, bool writable) {
   std::unique_ptr<BackupStore> store(new BackupStore(layout, fsync_enabled));
   for (int i = 0; i < 2; ++i) {
     store->paths_[i] = dir + "/" + ImageFileName(i);
-  }
-  if (replay_doublewrite) {
-    // Complete any staged in-place batch a crash interrupted, before
-    // anyone opens or reads the images (the recovery path inherits this by
-    // simply opening the store).
-    TP_RETURN_NOT_OK(DoublewriteRegion::Replay(paths::DoublewritePath(dir),
-                                               store->paths_, 2,
-                                               fsync_enabled)
-                         .status());
-  }
-  for (int i = 0; i < 2; ++i) {
-    TP_RETURN_NOT_OK(store->files_[i].OpenForUpdate(store->paths_[i]));
   }
   if (backend != nullptr) {
     store->backend_ = backend;
@@ -90,10 +77,14 @@ StatusOr<std::unique_ptr<BackupStore>> BackupStore::Open(
     store->owned_backend_ = IoBackend::Create(IoBackendKind::kSync);
     store->backend_ = store->owned_backend_.get();
   }
-  if (replay_doublewrite) {
-    TP_ASSIGN_OR_RETURN(
-        store->dw_, DoublewriteRegion::Open(paths::DoublewritePath(dir),
-                                            fsync_enabled, store->backend_));
+  if (!writable) return store;
+  TP_RETURN_NOT_OK(EnsureDirectory(dir));
+  // The header protocol alone guards against torn writes; a doublewrite
+  // region an older version staged here is dead weight.
+  TP_RETURN_NOT_OK(
+      RemoveFileIfExists(dir + "/" + paths::DoublewriteFileName()));
+  for (int i = 0; i < 2; ++i) {
+    TP_RETURN_NOT_OK(store->files_[i].OpenForUpdate(store->paths_[i]));
   }
   return store;
 }
@@ -103,109 +94,47 @@ const std::string& BackupStore::path(int index) const {
   return paths_[index];
 }
 
+bool BackupStore::TakeCrashPoint(StageCrashPoint point) {
+  if (stage_crash_point_ != point) return false;
+  stage_crash_point_ = StageCrashPoint::kNone;
+  (void)backend_->Drain();  // what was submitted lands; nothing else does
+  return true;
+}
+
 Status BackupStore::BeginCheckpoint(int index) {
   TP_CHECK(index == 0 || index == 1);
   BackupHeader zero;
   zero.magic = 0;  // invalid
   TP_RETURN_NOT_OK(files_[index].WriteAt(0, &zero, sizeof(zero)));
   TP_RETURN_NOT_OK(MakeDurable(index));
-  return Status::OK();
-}
-
-Status BackupStore::WriteRange(int index, ObjectId first, const void* data,
-                               uint64_t count) {
-  TP_CHECK(index == 0 || index == 1);
-  TP_DCHECK(first + count <= layout_.num_objects());
-  const uint64_t offset = kBackupDataOffset + first * layout_.object_size;
-  return files_[index].WriteAt(offset, data, count * layout_.object_size);
-}
-
-bool BackupStore::TakeCrashPoint(StageCrashPoint point) {
-  if (stage_crash_point_ != point) return false;
-  stage_crash_point_ = StageCrashPoint::kNone;
-  return true;
-}
-
-Status BackupStore::BeginStagedCheckpoint(int index) {
-  TP_CHECK(index == 0 || index == 1);
-  if (dw_ == nullptr) {
-    return Status::FailedPrecondition(
-        "store opened without doublewrite replay: staged writes disabled");
-  }
-  TP_CHECK(staged_index_ == -1);
-  // Header-invalidate first (durably), exactly as in the unstaged
-  // protocol: once a staged batch exists for this image, the image is
-  // already ineligible for recovery, so replaying the batch can never
-  // touch a recoverable image.
-  TP_RETURN_NOT_OK(BeginCheckpoint(index));
-  TP_RETURN_NOT_OK(dw_->BeginBatch());
-  staged_index_ = index;
-  staged_.clear();
   if (TakeCrashPoint(StageCrashPoint::kAfterBegin)) {
-    AbandonStaged();
-    return Status::Internal("crash injected after staged begin");
+    return Status::Internal("crash injected after header invalidate");
   }
   return Status::OK();
 }
 
-Status BackupStore::StageRun(int index, ObjectId first, const void* data,
-                             uint64_t count) {
-  TP_CHECK(staged_index_ == index);
+StatusOr<IoTicket> BackupStore::WriteRange(int index, ObjectId first,
+                                           const void* data, uint64_t count) {
+  TP_CHECK(index == 0 || index == 1);
   TP_DCHECK(first + count <= layout_.num_objects());
   const uint64_t offset = kBackupDataOffset + first * layout_.object_size;
-  dw_->StageChunk(static_cast<uint32_t>(index), offset, data,
-                  count * layout_.object_size);
-  staged_.push_back(StagedRun{first, static_cast<const uint8_t*>(data),
-                              count});
-  if (staged_.size() == 1 &&
-      TakeCrashPoint(StageCrashPoint::kAfterFirstStage)) {
-    AbandonStaged();
-    return Status::Internal("crash injected after first doublewrite stage");
+  const IoTicket ticket = backend_->SubmitWrite(&files_[index], offset, data,
+                                                count * layout_.object_size);
+  if (TakeCrashPoint(StageCrashPoint::kAfterFirstRun)) {
+    return Status::Internal("crash injected after first in-place run");
   }
-  return Status::OK();
-}
-
-Status BackupStore::SealAndApplyStaged(int index) {
-  TP_CHECK(staged_index_ == index);
-  TP_RETURN_NOT_OK(dw_->Seal());
-  if (TakeCrashPoint(StageCrashPoint::kAfterSeal)) {
-    AbandonStaged();
-    return Status::Internal("crash injected after doublewrite seal");
-  }
-  IoTicket last = 0;
-  bool crash_after_first = false;
-  for (const StagedRun& run : staged_) {
-    const uint64_t offset = kBackupDataOffset + run.first * layout_.object_size;
-    last = backend_->SubmitWrite(&files_[index], offset, run.data,
-                                 run.count * layout_.object_size);
-    if (last != 0 && TakeCrashPoint(StageCrashPoint::kAfterFirstApply)) {
-      crash_after_first = true;
-      break;
-    }
-  }
-  if (crash_after_first) {
-    AbandonStaged();  // the submitted run lands; the rest never do
-    return Status::Internal("crash injected after first in-place apply");
-  }
-  const Status status = last != 0 ? backend_->WaitFor(last) : Status::OK();
-  staged_.clear();
-  staged_index_ = -1;
-  return status;
-}
-
-void BackupStore::AbandonStaged() {
-  // Callers free their run buffers right after this; no in-flight write
-  // may still reference them (or the doublewrite region's headers).
-  if (backend_ != nullptr) backend_->Drain();
-  staged_.clear();
-  staged_index_ = -1;
+  return ticket;
 }
 
 Status BackupStore::FinishCheckpoint(int index, uint64_t seq,
                                      uint64_t consistent_tick,
                                      uint32_t state_crc) {
   TP_CHECK(index == 0 || index == 1);
+  TP_RETURN_NOT_OK(backend_->Drain());
   TP_RETURN_NOT_OK(MakeDurable(index));  // data durable first
+  if (TakeCrashPoint(StageCrashPoint::kAfterDataSync)) {
+    return Status::Internal("crash injected before header commit");
+  }
   BackupHeader header;
   header.magic = kBackupMagic;
   header.seq = seq;
@@ -221,10 +150,11 @@ Status BackupStore::FinishCheckpoint(int index, uint64_t seq,
 
 StatusOr<ImageInfo> BackupStore::Inspect(int index) {
   TP_CHECK(index == 0 || index == 1);
+  ImageInfo info;
+  if (!FileExists(paths_[index])) return info;
   FileReader reader;
   TP_RETURN_NOT_OK(reader.Open(paths_[index]));
   TP_ASSIGN_OR_RETURN(const uint64_t size, reader.Size());
-  ImageInfo info;
   if (size < sizeof(BackupHeader)) return info;  // empty/new file: invalid
   BackupHeader header;
   TP_RETURN_NOT_OK(reader.ReadExact(&header, sizeof(header)));
@@ -279,7 +209,6 @@ bool LogStore::ParseGenerationFileName(const std::string& name,
 StatusOr<std::unique_ptr<LogStore>> LogStore::Open(const std::string& dir,
                                                    const StateLayout& layout,
                                                    bool fsync_enabled) {
-  TP_RETURN_NOT_OK(EnsureDirectory(dir));
   std::unique_ptr<LogStore> store(new LogStore(dir, layout, fsync_enabled));
   // Discover generations left by a previous process (recovery reopens the
   // store cold).
@@ -301,6 +230,7 @@ std::string LogStore::GenPath(uint64_t gen) const {
 
 Status LogStore::BeginGeneration(uint64_t gen) {
   TP_CHECK(!segment_open_);
+  TP_RETURN_NOT_OK(EnsureDirectory(dir_));
   if (writer_.is_open()) {
     TP_RETURN_NOT_OK(writer_.Close());
   }

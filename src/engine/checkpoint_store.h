@@ -9,15 +9,15 @@
 // is crash-safe: the header is invalidated (fsync) before any data write
 // and revalidated (fsync) only after all data is durable, so a torn
 // checkpoint is never eligible for recovery while the sibling image stays
-// untouched.
+// untouched. The torn-write defence is this header protocol plus the
+// sibling: a crash anywhere inside a checkpoint leaves the target image
+// invalid, and recovery restores the sibling and replays the logical log.
 //
-// The staged pipeline (ROADMAP item 1) layers a doublewrite guard on top
-// of that contract: a staged checkpoint submits its group-buffer runs
-// through an IoBackend into the CRC'd doublewrite region first, seals it,
-// and only then lands the runs in place -- so a torn in-place batch is
-// *repaired* by replay on the next open, not merely kept from mattering by
-// the invalid header. The plain WriteRange path remains for bootstrap
-// writes and tests; both paths preserve the header protocol unchanged.
+// Checkpoint data reaches the image through an IoBackend: the writer
+// submits each group-buffer run straight to its in-place offset (WriteRange)
+// and FinishCheckpoint waits for every submitted run before the data
+// fsync. The protocol is therefore: invalidate the header + fsync, submit
+// the runs, wait, fsync the data, write the header + fsync.
 //
 // LogStore -- the log organization of the partial-redo family: checkpoints
 // are appended as self-validating segments. A full flush starts a new log
@@ -26,8 +26,7 @@
 // flush, the paper's (k*C + n) model). Restore reads that generation once,
 // front to back, so recovery pays exactly the (k*C + n) term: each segment
 // is checksummed over large block reads and then applied from the same
-// bounded buffer. Appends are already torn-safe (the trailing segment CRC),
-// so staged runs append as before -- no doublewrite.
+// bounded buffer. Appends are torn-safe by the trailing segment CRC.
 #ifndef TICKPOINT_ENGINE_CHECKPOINT_STORE_H_
 #define TICKPOINT_ENGINE_CHECKPOINT_STORE_H_
 
@@ -36,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/doublewrite.h"
 #include "engine/state_table.h"
 #include "model/layout.h"
 #include "util/io.h"
@@ -53,76 +51,56 @@ struct ImageInfo {
   uint32_t state_crc = 0;        // 0 = not recorded
 };
 
-/// The double-backup store: files backup0.img and backup1.img under `dir`,
-/// plus the doublewrite region (paths::DoublewriteFileName).
+/// The double-backup store: files backup0.img and backup1.img under `dir`.
 class BackupStore {
  public:
-  /// Crash-injection hooks for the staged pipeline: the named boundary
-  /// returns an injected error instead of proceeding (after draining any
-  /// in-flight writes), leaving the disk exactly as a crash there would.
+  /// Crash-injection hooks: the named boundary returns an injected error
+  /// instead of proceeding (after draining any in-flight writes), leaving
+  /// the disk exactly as a crash there would. Each fires once, at the
+  /// first time the store reaches it after being armed.
   enum class StageCrashPoint {
     kNone = 0,
-    /// After the header invalidate, before any doublewrite staging.
+    /// After the durable header invalidate, before any data write.
     kAfterBegin,
-    /// After the first run's doublewrite chunk, before the seal fsync
-    /// (the region may hold a torn batch).
-    kAfterFirstStage,
-    /// After the doublewrite seal, before any in-place write (replay must
-    /// complete the batch).
-    kAfterSeal,
-    /// After the first in-place run landed, the rest abandoned (the torn
-    /// in-place batch replay repairs).
-    kAfterFirstApply,
+    /// After the first run landed in place, the rest abandoned.
+    kAfterFirstRun,
+    /// After the data fsync, before the header commit.
+    kAfterDataSync,
   };
 
-  /// Opens (creating if needed) both backup files sized for `layout`.
-  /// `backend` routes the staged pipeline's writes (null: the store owns a
-  /// private synchronous backend). `replay_doublewrite` applies and then
-  /// discards any batch left in the doublewrite region -- pass false only
-  /// for read-only inspection, which must not mutate a crash image; the
-  /// staged API is unavailable then.
+  /// Opens both backup files sized for `layout`. `backend` routes
+  /// WriteRange (null: the store owns a private synchronous backend). A
+  /// writable open creates the directory and the image files, and deletes
+  /// the doublewrite region older versions left beside them. With
+  /// `writable` false (recovery, inspection) the open creates and deletes
+  /// nothing, and only Inspect/ReadAll may be used.
   static StatusOr<std::unique_ptr<BackupStore>> Open(
       const std::string& dir, const StateLayout& layout, bool fsync_enabled,
-      IoBackend* backend = nullptr, bool replay_doublewrite = true);
+      IoBackend* backend = nullptr, bool writable = true);
 
   /// Bare filename of backup image `index` ("backup0.img"/"backup1.img") --
   /// the single owner of the naming rule.
   static std::string ImageFileName(int index);
 
-  /// Invalidates backup `index`'s header; must precede data writes.
+  /// Invalidates backup `index`'s header durably; must precede data writes.
   Status BeginCheckpoint(int index);
 
-  /// Writes `count` consecutive objects starting at `first` from `data`.
-  /// The direct (unstaged) path: bootstrap images and tests.
-  Status WriteRange(int index, ObjectId first, const void* data,
-                    uint64_t count);
+  /// Submits `count` consecutive objects starting at `first` from `data`
+  /// to their in-place offsets through the backend and returns the write's
+  /// ticket. `data` must stay valid until that ticket completes (at the
+  /// latest, until FinishCheckpoint returns). Write errors are sticky and
+  /// surface from the backend's WaitFor and from FinishCheckpoint.
+  StatusOr<IoTicket> WriteRange(int index, ObjectId first, const void* data,
+                                uint64_t count);
 
-  // Staged pipeline: Begin -> Stage* -> SealAndApply -> FinishCheckpoint.
-
-  /// BeginCheckpoint + opens a doublewrite batch for image `index`.
-  Status BeginStagedCheckpoint(int index);
-
-  /// Stages one group-buffer run (`count` objects from id `first`) into
-  /// the doublewrite region. `data` must stay valid until
-  /// SealAndApplyStaged or AbandonStaged returns (the session contract).
-  Status StageRun(int index, ObjectId first, const void* data,
-                  uint64_t count);
-
-  /// Seals the doublewrite region (fsync), then lands every staged run at
-  /// its in-place offset. After this, FinishCheckpoint revalidates the
-  /// header exactly as in the unstaged protocol.
-  Status SealAndApplyStaged(int index);
-
-  /// Abandons an open staged batch (error/crash paths): drains in-flight
-  /// writes so callers may free run buffers; on-disk bytes stay torn.
-  void AbandonStaged();
-
-  /// Makes the image durable and valid: fsync data, then write + fsync the
-  /// header. `state_crc` may be 0 (unchecked).
+  /// Makes the image durable and valid: wait for every submitted run,
+  /// fsync data, then write + fsync the header. `state_crc` may be 0
+  /// (unchecked).
   Status FinishCheckpoint(int index, uint64_t seq, uint64_t consistent_tick,
                           uint32_t state_crc);
 
-  /// Reads and validates backup `index`'s header.
+  /// Reads and validates backup `index`'s header. A missing file is an
+  /// invalid image.
   StatusOr<ImageInfo> Inspect(int index);
 
   /// Sequentially reads the whole image into `out`. If the header recorded
@@ -138,11 +116,11 @@ class BackupStore {
 
  private:
   BackupStore(const StateLayout& layout, bool fsync_enabled);
-  /// Flush semantics of the old FileWriter path are free with fds (no
-  /// userspace buffer); durability still honors fsync_enabled_.
+  /// fds have no userspace buffer, so only fsync_enabled_ matters.
   Status MakeDurable(int index);
-  /// True (once) when the armed crash point is `point`; the caller then
-  /// abandons the batch and returns the injected error.
+  /// True (once) when the armed crash point is `point`, after draining the
+  /// backend so every submitted write has landed; the caller then returns
+  /// the injected error.
   bool TakeCrashPoint(StageCrashPoint point);
 
   StateLayout layout_;
@@ -154,16 +132,6 @@ class BackupStore {
   /// owned_backend_ when the caller supplied none.
   IoBackend* backend_ = nullptr;
   std::unique_ptr<IoBackend> owned_backend_;
-  /// Null when opened with replay_doublewrite=false (inspection).
-  std::unique_ptr<DoublewriteRegion> dw_;
-
-  struct StagedRun {
-    ObjectId first = 0;
-    const uint8_t* data = nullptr;
-    uint64_t count = 0;
-  };
-  std::vector<StagedRun> staged_;
-  int staged_index_ = -1;
   StageCrashPoint stage_crash_point_ = StageCrashPoint::kNone;
 };
 
@@ -178,6 +146,9 @@ struct SegmentInfo {
 /// The append-only checkpoint log, organized in generations.
 class LogStore {
  public:
+  /// Discovers the generations under `dir`. Creates nothing: the first
+  /// BeginGeneration makes the directory, so recovery and inspection can
+  /// open a store without touching the disk.
   static StatusOr<std::unique_ptr<LogStore>> Open(const std::string& dir,
                                                   const StateLayout& layout,
                                                   bool fsync_enabled);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <filesystem>
 
-#include "engine/checkpoint_session.h"
 #include "engine/paths.h"
 #include "util/crc32.h"
 
@@ -150,7 +149,7 @@ Status Engine::WriteBootstrapCheckpoint() {
     }
     checkpoint_seq_ = bootstrap_seq + 1;
     TP_RETURN_NOT_OK(backup_->BeginCheckpoint(0));
-    TP_RETURN_NOT_OK(backup_->WriteRange(0, 0, state_.data(), n));
+    TP_RETURN_NOT_OK(backup_->WriteRange(0, 0, state_.data(), n).status());
     const uint32_t crc =
         config_.checksum_state ? state_.Digest() : 0;
     TP_RETURN_NOT_OK(backup_->FinishCheckpoint(0, bootstrap_seq, tick_, crc));
@@ -517,106 +516,80 @@ const uint8_t* Engine::CouSource(ObjectId object, uint8_t* staging) {
 }
 
 Status Engine::ExecuteJob(const Job& job) {
-  const uint64_t n = config_.layout.num_objects();
-  const uint64_t object_size = config_.layout.object_size;
-  std::vector<uint8_t> staging(object_size);
-
   auto crashed = [this] {
     return crashed_.load(std::memory_order_relaxed);
   };
 
   if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    // Staged pipeline: objects are gathered into the session's aligned
-    // group buffers (the COW point -- after Add returns, the mutator may
-    // overwrite the source), each full buffer flushes as one run into the
-    // doublewrite region, and only a sealed batch lands in place. The
-    // session must outlive SealAndApplyStaged: both the doublewrite chunks
-    // and the in-place writes read straight out of its buffers.
-    TP_RETURN_NOT_OK(backup_->BeginStagedCheckpoint(job.backup_index));
-    {
-      const int backup_index = job.backup_index;
-      CheckpointWriteSession session(
-          object_size, io_backend_.get(),
-          [this, backup_index](ObjectId first, const uint8_t* data,
-                               uint64_t count) {
-            return backup_->StageRun(backup_index, first, data, count);
-          });
-      Status status = Status::OK();
-      for (uint64_t o = 0; o < n && status.ok(); ++o) {
-        if (!job.all_objects && !write_set_.Test(o)) continue;
-        if (crashed()) {
-          status = Status::Internal("crash injected");
-          break;
-        }
-        // Eager jobs read the snapshot in aux_; copy-on-update jobs fetch
-        // the live object under its lock (Write-Objects vs Write-Copies).
-        const uint8_t* src = job.cou_mode
-                                 ? CouSource(o, staging.data())
-                                 : aux_.data() + o * object_size;
-        status = session.Add(o, src);
-      }
-      if (status.ok()) status = session.Finish();
-      if (status.ok()) status = backup_->SealAndApplyStaged(job.backup_index);
-      if (!status.ok()) {
-        // Drain in-flight writes before the session (and its buffers) dies.
-        backup_->AbandonStaged();
-        return status;
-      }
-    }
+    // Header invalidate, in-place runs, wait + data fsync, header commit:
+    // a crash anywhere in between leaves this image invalid and the
+    // sibling intact.
+    const int backup_index = job.backup_index;
+    TP_RETURN_NOT_OK(backup_->BeginCheckpoint(backup_index));
+    TP_RETURN_NOT_OK(WriteCheckpointObjects(
+        job, io_backend_.get(),
+        [this, backup_index](ObjectId first, const uint8_t* data,
+                             uint64_t count) {
+          return backup_->WriteRange(backup_index, first, data, count);
+        }));
     uint32_t state_crc = 0;
     if (config_.checksum_state && !job.cou_mode && job.all_objects) {
       state_crc = Crc32(aux_.data(), state_.buffer_bytes());
     }
     if (crashed()) return Status::Internal("crash injected");
-    TP_RETURN_NOT_OK(backup_->FinishCheckpoint(job.backup_index, job.seq,
+    TP_RETURN_NOT_OK(backup_->FinishCheckpoint(backup_index, job.seq,
                                                job.consistent_ticks,
                                                state_crc));
     return ArchiveCompletedCheckpoint(job);
   }
 
-  // Log organization.
+  // Log organization. Appends are torn-safe (trailing segment CRC) and
+  // synchronous: each run is consumed before the emit returns, so the
+  // session needs no backend and a single buffer.
   if (job.new_generation) {
     TP_RETURN_NOT_OK(log_->BeginGeneration(job.log_gen));
   }
   TP_RETURN_NOT_OK(log_->BeginSegment(job.seq, job.consistent_ticks,
                                       job.all_objects, job.object_count));
-  {
-    // Appends are already torn-safe (trailing segment CRC), so log runs
-    // skip the doublewrite region and the backend: the session only
-    // coalesces objects into group-buffer appends (null backend = the
-    // emit callback completes the write before returning).
-    CheckpointWriteSession session(
-        object_size, /*backend=*/nullptr,
-        [this](ObjectId first, const uint8_t* data, uint64_t count) {
-          return log_->AppendRun(first, data, count);
-        });
-    Status status = Status::OK();
-    for (uint64_t o = 0; o < n && status.ok(); ++o) {
-      if (!job.all_objects && !write_set_.Test(o)) continue;
-      if (crashed()) {
-        status = Status::Internal("crash injected");
-        break;
-      }
-      const uint8_t* src = job.cou_mode
-                               ? CouSource(o, staging.data())
-                               : aux_.data() + o * object_size;
-      status = session.Add(o, src);
-    }
-    if (status.ok()) status = session.Finish();
-    if (!status.ok()) {
-      log_->AbortSegment();
-      return status;
-    }
-  }
-  if (crashed()) {
+  Status status = WriteCheckpointObjects(
+      job, /*backend=*/nullptr,
+      [this](ObjectId first, const uint8_t* data,
+             uint64_t count) -> StatusOr<IoTicket> {
+        TP_RETURN_NOT_OK(log_->AppendRun(first, data, count));
+        return IoTicket{0};
+      });
+  if (status.ok() && crashed()) status = Status::Internal("crash injected");
+  if (!status.ok()) {
     log_->AbortSegment();
-    return Status::Internal("crash injected");
+    return status;
   }
   TP_RETURN_NOT_OK(log_->CommitSegment());
   if (job.new_generation) {
     TP_RETURN_NOT_OK(log_->DropGenerationsBefore(job.log_gen));
   }
   return ArchiveCompletedCheckpoint(job);
+}
+
+Status Engine::WriteCheckpointObjects(const Job& job, IoBackend* backend,
+                                      CheckpointWriteSession::EmitRun emit) {
+  const uint64_t n = config_.layout.num_objects();
+  const uint64_t object_size = config_.layout.object_size;
+  std::vector<uint8_t> staging(object_size);
+  // Objects are gathered into the session's group buffers (the COW point:
+  // after Add returns, the mutator may overwrite the source).
+  CheckpointWriteSession session(object_size, backend, std::move(emit));
+  for (uint64_t o = 0; o < n; ++o) {
+    if (!job.all_objects && !write_set_.Test(o)) continue;
+    if (crashed_.load(std::memory_order_relaxed)) {
+      return Status::Internal("crash injected");
+    }
+    // Eager jobs read the snapshot in aux_; copy-on-update jobs fetch the
+    // live object under its lock (Write-Objects vs Write-Copies).
+    const uint8_t* src = job.cou_mode ? CouSource(o, staging.data())
+                                      : aux_.data() + o * object_size;
+    TP_RETURN_NOT_OK(session.Add(o, src));
+  }
+  return session.Finish();
 }
 
 Status Engine::ArchiveCompletedCheckpoint(const Job& job) {

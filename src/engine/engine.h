@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "core/algorithm.h"
+#include "engine/checkpoint_session.h"
 #include "engine/checkpoint_store.h"
 #include "engine/dirty_map.h"
 #include "engine/history.h"
@@ -294,6 +295,10 @@ class Engine {
 
   void WriterMain();
   Status ExecuteJob(const Job& job);
+  /// Streams the job's objects through a CheckpointWriteSession into
+  /// `emit`; returns once every emitted run's write has completed.
+  Status WriteCheckpointObjects(const Job& job, IoBackend* backend,
+                                CheckpointWriteSession::EmitRun emit);
   /// Retention only: reads the just-committed durable image back out of
   /// the store and records it as a history generation. Runs on the writer
   /// thread right after the checkpoint's commit point, so it is uniform

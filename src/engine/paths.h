@@ -51,14 +51,9 @@ inline std::string BackupImageFileName(int index) {
   return "backup" + std::to_string(index) + ".img";
 }
 
-/// Bare filename of the double-backup store's doublewrite region (the
-/// torn-write guard staged ahead of in-place image writes).
+/// Bare filename of the doublewrite region older versions staged beside
+/// the backup images. Nothing reads it any more; writable opens delete it.
 inline std::string DoublewriteFileName() { return "doublewrite.img"; }
-
-/// Full path of the doublewrite region inside a shard directory.
-inline std::string DoublewritePath(const std::string& dir) {
-  return dir + "/" + DoublewriteFileName();
-}
 
 /// Bare filename of checkpoint-log generation `gen` ("log-N.img").
 inline std::string LogGenerationFileName(uint64_t gen) {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -43,15 +44,14 @@ StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
   out->Clear();
 
   // Phase 1: restore the newest complete checkpoint image within the
-  // bound. The default Open replays (then discards) any sealed batch a
-  // crash left in the doublewrite region BEFORE the images are inspected
-  // -- that replay only ever touches an image whose header was already
-  // invalidated, so the sibling this phase restores from is unaffected.
+  // bound. Recovery only reads: a checkpoint a crash interrupted left its
+  // image with an invalid header, so the sibling wins.
   const auto restore_start = Clock::now();
   if (traits.disk == DiskOrganization::kDoubleBackup) {
-    TP_ASSIGN_OR_RETURN(auto store, BackupStore::Open(config.dir,
-                                                      config.layout,
-                                                      config.fsync));
+    TP_ASSIGN_OR_RETURN(
+        auto store, BackupStore::Open(config.dir, config.layout, config.fsync,
+                                      /*backend=*/nullptr,
+                                      /*writable=*/false));
     int best = -1;
     ImageInfo best_info;
     for (int index = 0; index < 2; ++index) {
@@ -114,7 +114,8 @@ using ShardRecoverFn =
 /// The per-partition fan-out behind every fleet recovery: partition p
 /// recovers from `dirs[p]` (the manifest's assignment- and mount-resolved
 /// directory) into (*out)[p]. Shards share no files or tables, so up to
-/// hardware_concurrency() workers recover them in parallel. Outcomes fold
+/// hardware_concurrency() workers recover them in parallel, each building
+/// (and page-faulting) the tables of the shards it recovers. Outcomes fold
 /// in shard order: the lowest failing shard's status is returned, exactly
 /// the one a serial loop would have stopped at.
 StatusOr<ShardedRecoveryResult> RecoverShards(
@@ -122,10 +123,7 @@ StatusOr<ShardedRecoveryResult> RecoverShards(
     std::vector<StateTable>* out, const ShardRecoverFn& recover) {
   const uint32_t num_shards = config.num_shards;
   out->clear();
-  out->reserve(num_shards);
-  for (uint32_t i = 0; i < num_shards; ++i) {
-    out->emplace_back(config.shard.layout);
-  }
+  std::vector<std::optional<StateTable>> tables(num_shards);
   std::vector<StatusOr<RecoveryResult>> outcomes(
       num_shards, Status::Internal("shard not recovered"));
   std::atomic<uint32_t> next{0};
@@ -134,7 +132,8 @@ StatusOr<ShardedRecoveryResult> RecoverShards(
          i = next.fetch_add(1)) {
       EngineConfig shard_config = config.shard;
       shard_config.dir = dirs[i];
-      outcomes[i] = recover(shard_config, &(*out)[i]);
+      StateTable& table = tables[i].emplace(config.shard.layout);
+      outcomes[i] = recover(shard_config, &table);
     }
   };
   const uint32_t workers =
@@ -143,6 +142,10 @@ StatusOr<ShardedRecoveryResult> RecoverShards(
   for (uint32_t w = 1; w < workers; ++w) helpers.emplace_back(work);
   work();
   for (std::thread& helper : helpers) helper.join();
+  out->reserve(num_shards);
+  for (std::optional<StateTable>& table : tables) {
+    out->push_back(std::move(*table));
+  }
 
   ShardedRecoveryResult result;
   result.shards.reserve(num_shards);

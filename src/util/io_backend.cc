@@ -9,6 +9,7 @@
 #include <deque>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 // Defined by the build system only when BOTH liburing's header and its
 // library were found (header-only presence would compile but fail to link).
@@ -118,6 +119,7 @@ namespace {
 class SyncIoBackend : public IoBackend {
  public:
   IoBackendKind kind() const override { return IoBackendKind::kSync; }
+  uint32_t queue_depth() const override { return 1; }
 
   IoTicket SubmitWrite(IoFile* file, uint64_t offset, const void* data,
                        uint64_t length) override {
@@ -156,6 +158,9 @@ class ThreadIoBackend : public IoBackend {
   }
 
   IoBackendKind kind() const override { return IoBackendKind::kAsync; }
+  uint32_t queue_depth() const override {
+    return static_cast<uint32_t>(max_in_flight_);
+  }
 
   IoTicket SubmitWrite(IoFile* file, uint64_t offset, const void* data,
                        uint64_t length) override {
@@ -225,15 +230,16 @@ class ThreadIoBackend : public IoBackend {
 #ifdef TICKPOINT_HAVE_LIBURING
 
 /// Kernel-submitted writes through io_uring. CQEs may complete out of
-/// submission order, so the frontier is conservative: WaitFor reaps until
-/// the count of completions covers the ticket, which (with dense tickets)
-/// guarantees at least every earlier submission has completed once the
-/// queue is drained to that depth; the stores only wait at full barriers
-/// (seal/apply), where count == submitted implies all writes are done.
+/// submission order, so each SQE carries its ticket as user_data and the
+/// frontier only advances over a dense prefix of completed tickets:
+/// WaitFor(t) returns once every write up to t has completed, which is
+/// what a writer recycling its buffers needs. At most `max_in_flight`
+/// tickets sit past the frontier, so a window of that many flags suffices.
 class UringIoBackend : public IoBackend {
  public:
   explicit UringIoBackend(uint32_t max_in_flight)
-      : max_in_flight_(max_in_flight > 0 ? max_in_flight : 1) {
+      : max_in_flight_(max_in_flight > 0 ? max_in_flight : 1),
+        done_(max_in_flight_, 0) {
     ring_ok_ = io_uring_queue_init(max_in_flight_, &ring_, 0) == 0;
   }
 
@@ -243,6 +249,9 @@ class UringIoBackend : public IoBackend {
   }
 
   IoBackendKind kind() const override { return IoBackendKind::kAsync; }
+  uint32_t queue_depth() const override {
+    return static_cast<uint32_t>(max_in_flight_);
+  }
 
   IoTicket SubmitWrite(IoFile* file, uint64_t offset, const void* data,
                        uint64_t length) override {
@@ -252,21 +261,23 @@ class UringIoBackend : public IoBackend {
       }
       return ++submitted_;
     }
-    while (submitted_ - completed_ >= max_in_flight_) ReapOne(/*wait=*/true);
+    while (submitted_ - frontier_ >= max_in_flight_) ReapOne();
     struct io_uring_sqe* sqe = io_uring_get_sqe(&ring_);
     while (sqe == nullptr) {
-      ReapOne(/*wait=*/true);
+      ReapOne();
       sqe = io_uring_get_sqe(&ring_);
     }
     io_uring_prep_write(sqe, file->fd(), data, static_cast<unsigned>(length),
                         offset);
+    const IoTicket ticket = ++submitted_;
+    sqe->user_data = ticket;
     io_uring_submit(&ring_);
-    return ++submitted_;
+    return ticket;
   }
 
   Status WaitFor(IoTicket ticket) override {
-    while (ring_ok_ && completed_ < ticket && completed_ < submitted_) {
-      ReapOne(/*wait=*/true);
+    while (ring_ok_ && frontier_ < ticket && frontier_ < submitted_) {
+      ReapOne();
     }
     return first_error_;
   }
@@ -274,25 +285,31 @@ class UringIoBackend : public IoBackend {
   Status Drain() override { return WaitFor(submitted_); }
 
  private:
-  void ReapOne(bool wait) {
+  void ReapOne() {
     struct io_uring_cqe* cqe = nullptr;
-    const int rc = wait ? io_uring_wait_cqe(&ring_, &cqe)
-                        : io_uring_peek_cqe(&ring_, &cqe);
-    if (rc != 0 || cqe == nullptr) return;
+    if (io_uring_wait_cqe(&ring_, &cqe) != 0 || cqe == nullptr) return;
     if (cqe->res < 0 && first_error_.ok()) {
       first_error_ =
           Status::IOError(std::string("io_uring write failed: ") +
                           std::strerror(-cqe->res));
     }
+    const IoTicket ticket = cqe->user_data;
     io_uring_cqe_seen(&ring_, cqe);
-    ++completed_;
+    done_[ticket % max_in_flight_] = 1;
+    while (frontier_ < submitted_ && done_[(frontier_ + 1) % max_in_flight_]) {
+      done_[(frontier_ + 1) % max_in_flight_] = 0;
+      ++frontier_;
+    }
   }
 
   const uint64_t max_in_flight_;
   struct io_uring ring_;
   bool ring_ok_ = false;
   uint64_t submitted_ = 0;
-  uint64_t completed_ = 0;
+  /// Every ticket <= frontier_ has completed.
+  uint64_t frontier_ = 0;
+  /// done_[t % max_in_flight_]: ticket t (past the frontier) completed.
+  std::vector<char> done_;
   Status first_error_;
 };
 

@@ -1,7 +1,7 @@
 // Pluggable write backends for the checkpoint pipeline (ROADMAP item 1).
 //
 // The checkpoint stores used to push every byte through a buffered
-// FileWriter on whichever thread happened to flush; the staged pipeline
+// FileWriter on whichever thread happened to flush; the write pipeline
 // instead submits positional writes to an IoBackend and waits for them at
 // explicit barriers, so the same store code runs synchronously (pwrite on
 // the submitting thread -- the crash-sweep baseline) or asynchronously
@@ -90,6 +90,11 @@ class IoBackend {
   virtual ~IoBackend() = default;
 
   virtual IoBackendKind kind() const = 0;
+
+  /// How many submitted writes may be outstanding at once: 1 for kSync
+  /// (a submission completes before it returns), the queue bound for
+  /// kAsync. Writers size their buffer rings by it.
+  virtual uint32_t queue_depth() const = 0;
 
   /// Queues `length` bytes at `data` for `file` at `offset` and returns
   /// the write's ticket. The caller must keep both `data` and `file` valid

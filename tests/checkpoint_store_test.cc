@@ -8,12 +8,22 @@
 #include <filesystem>
 #include <vector>
 
-#include "engine/doublewrite.h"
+#include "engine/engine.h"
 #include "engine/logical_log.h"
+#include "engine/mutator.h"
 #include "engine/paths.h"
+#include "engine/recovery.h"
+#include "trace/zipf_source.h"
 
 namespace tickpoint {
 namespace {
+
+/// The crash boundaries of the direct double-backup protocol.
+constexpr BackupStore::StageCrashPoint kCrashPoints[] = {
+    BackupStore::StageCrashPoint::kAfterBegin,
+    BackupStore::StageCrashPoint::kAfterFirstRun,
+    BackupStore::StageCrashPoint::kAfterDataSync,
+};
 
 /// Offset of object 0 in a backup image (one sector-aligned header block).
 constexpr uint64_t kBackupDataOffset = 512;
@@ -45,14 +55,78 @@ class StoreTest : public ::testing::Test {
     return table;
   }
 
-  // Writes `state` as a full valid checkpoint of image `index` via the
-  // unstaged path.
+  // Writes `state` as a full valid checkpoint of image `index` in one run.
   void WriteFullImage(BackupStore& store, int index, StateTable& state,
                       uint64_t seq, uint64_t tick) {
     ASSERT_TRUE(store.BeginCheckpoint(index).ok());
     ASSERT_TRUE(
         store.WriteRange(index, 0, state.data(), layout_.num_objects()).ok());
     ASSERT_TRUE(store.FinishCheckpoint(index, seq, tick, 0).ok());
+  }
+
+  // One checkpoint of `state` into image `index`, split into two runs the
+  // way the engine submits group buffers; stops at the first error.
+  Status WriteTwoRunCheckpoint(BackupStore& store, int index,
+                               const StateTable& state, uint64_t seq,
+                               uint64_t tick) {
+    const uint64_t n = layout_.num_objects();
+    const uint64_t half = n / 2;
+    TP_RETURN_NOT_OK(store.BeginCheckpoint(index));
+    TP_RETURN_NOT_OK(store.WriteRange(index, 0, state.data(), half).status());
+    TP_RETURN_NOT_OK(
+        store.WriteRange(index, half, state.ObjectData(half), n - half)
+            .status());
+    return store.FinishCheckpoint(index, seq, tick, 0);
+  }
+
+  EngineConfig EngineTestConfig() const {
+    EngineConfig config;
+    config.layout = layout_;
+    config.algorithm = AlgorithmKind::kCopyOnUpdate;
+    config.dir = dir_;
+    config.fsync = false;  // simulated crashes: page cache is "durable"
+    config.checkpoint_interval_ticks = 8;
+    return config;
+  }
+
+  // Runs `ticks` ticks of a Zipf workload and shuts the engine down, so
+  // both backup images hold finished checkpoints.
+  std::unique_ptr<Engine> RunEngine(const EngineConfig& config,
+                                    uint64_t ticks) {
+    auto engine_or = Engine::Open(config);
+    if (!engine_or.ok()) return nullptr;
+    ZipfTraceConfig trace;
+    trace.layout = layout_;
+    trace.num_ticks = ticks;
+    trace.updates_per_tick = 40;
+    trace.seed = 77;
+    ZipfUpdateSource source(trace);
+    if (!RunWorkload(engine_or.value().get(), &source, MutatorOptions{})
+             .ok() ||
+        !engine_or.value()->Shutdown().ok()) {
+      return nullptr;
+    }
+    return std::move(engine_or).value();
+  }
+
+  // Crashes the checkpoint the engine would have written next (into the
+  // image with the lower seq) at `point`; reports the surviving sibling.
+  void CrashNextCheckpoint(BackupStore::StageCrashPoint point,
+                           ImageInfo* sibling) {
+    auto store_or = BackupStore::Open(dir_, layout_, false);
+    ASSERT_TRUE(store_or.ok());
+    auto& store = *store_or.value();
+    auto info0 = store.Inspect(0);
+    auto info1 = store.Inspect(1);
+    ASSERT_TRUE(info0.ok() && info1.ok());
+    ASSERT_TRUE(info0->valid && info1->valid);
+    const int target = info0->seq < info1->seq ? 0 : 1;
+    *sibling = target == 0 ? *info1 : *info0;
+    store.SetStageCrashPointForTest(point);
+    StateTable junk = MakeState(99);
+    ASSERT_FALSE(WriteTwoRunCheckpoint(store, target, junk, sibling->seq + 1,
+                                       sibling->consistent_tick + 1)
+                     .ok());
   }
 
   // Raw bytes of backup image `index`'s data region (past the header).
@@ -168,183 +242,140 @@ TEST_F(StoreTest, BackupStateCrcDetectsBitRot) {
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
 
-TEST_F(StoreTest, BackupStagedCheckpointRoundTrip) {
-  auto store_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(store_or.ok());
-  auto& store = *store_or.value();
-  StateTable state = MakeState(11);
-  const uint64_t half = layout_.num_objects() / 2;
-
-  ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-  ASSERT_TRUE(store.StageRun(0, 0, state.ObjectData(0), half).ok());
-  ASSERT_TRUE(
-      store.StageRun(0, half, state.ObjectData(half),
-                     layout_.num_objects() - half)
-          .ok());
-  ASSERT_TRUE(store.SealAndApplyStaged(0).ok());
-  ASSERT_TRUE(store.FinishCheckpoint(0, 5, 50, state.Digest()).ok());
-
-  auto info = store.Inspect(0);
-  ASSERT_TRUE(info.ok());
-  EXPECT_TRUE(info->valid);
-  EXPECT_EQ(info->seq, 5u);
-  StateTable restored(layout_);
-  ASSERT_TRUE(store.ReadAll(0, &restored).ok());
-  EXPECT_TRUE(restored.ContentEquals(state));
-}
-
-TEST_F(StoreTest, BackupTornStageNeverCorruptsSibling) {
-  StateTable old0 = MakeState(12);
-  StateTable old1 = MakeState(13);
-  StateTable next = MakeState(14);
-  {
-    auto store_or = BackupStore::Open(dir_, layout_, false);
+TEST_F(StoreTest, BackupRunsThroughEitherBackendRoundTrip) {
+  for (const IoBackendKind kind :
+       {IoBackendKind::kSync, IoBackendKind::kAsync}) {
+    SCOPED_TRACE(IoBackendKindName(kind));
+    std::filesystem::remove_all(dir_);
+    auto backend = IoBackend::Create(kind);
+    auto store_or = BackupStore::Open(dir_, layout_, false, backend.get());
     ASSERT_TRUE(store_or.ok());
     auto& store = *store_or.value();
-    WriteFullImage(store, 0, old0, 1, 10);
-    WriteFullImage(store, 1, old1, 2, 20);
+    StateTable state = MakeState(11);
+    ASSERT_TRUE(WriteTwoRunCheckpoint(store, 0, state, 5, 50).ok());
 
-    // Crash mid-stage: the doublewrite region holds one unsealed chunk.
-    store.SetStageCrashPointForTest(
-        BackupStore::StageCrashPoint::kAfterFirstStage);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    const Status crash =
-        store.StageRun(0, 0, next.data(), layout_.num_objects());
-    ASSERT_FALSE(crash.ok());
+    auto info = store.Inspect(0);
+    ASSERT_TRUE(info.ok());
+    EXPECT_TRUE(info->valid);
+    EXPECT_EQ(info->seq, 5u);
+    StateTable restored(layout_);
+    ASSERT_TRUE(store.ReadAll(0, &restored).ok());
+    EXPECT_TRUE(restored.ContentEquals(state));
   }
-  // Tear the chunk's payload too (a real torn write would cut mid-sector):
-  // recovery must discard it, not apply garbage.
-  const std::string dw_path = paths::DoublewritePath(dir_);
-  std::string dw_bytes;
-  ASSERT_TRUE(ReadFileToString(dw_path, &dw_bytes).ok());
-  ASSERT_GT(dw_bytes.size(), 100u);
-  dw_bytes.resize(dw_bytes.size() - 100);
-  ASSERT_TRUE(WriteStringToFile(dw_path, dw_bytes).ok());
-
-  const std::string sibling_before = ImageDataBytes(1);
-  auto reopened_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(reopened_or.ok());
-  auto& reopened = *reopened_or.value();
-
-  // The target image was invalidated before any staging, so nothing
-  // recoverable was at risk; the sibling is byte-identical.
-  auto info0 = reopened.Inspect(0);
-  ASSERT_TRUE(info0.ok());
-  EXPECT_FALSE(info0->valid);
-  EXPECT_EQ(ImageDataBytes(1), sibling_before);
-  StateTable restored(layout_);
-  ASSERT_TRUE(reopened.ReadAll(1, &restored).ok());
-  EXPECT_TRUE(restored.ContentEquals(old1));
-  // The torn batch was discarded: the region is empty again.
-  auto chunks = DoublewriteRegion::Scan(dw_path);
-  ASSERT_TRUE(chunks.ok());
-  EXPECT_TRUE(chunks.value().empty());
 }
 
-TEST_F(StoreTest, BackupSealedBatchReplaysOnReopen) {
-  StateTable old_state = MakeState(15);
-  StateTable next = MakeState(16);
-  const uint64_t half = layout_.num_objects() / 2;
-  {
-    auto store_or = BackupStore::Open(dir_, layout_, false);
-    ASSERT_TRUE(store_or.ok());
-    auto& store = *store_or.value();
-    WriteFullImage(store, 0, old_state, 1, 10);
-    store.SetStageCrashPointForTest(BackupStore::StageCrashPoint::kAfterSeal);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    ASSERT_TRUE(store.StageRun(0, 0, next.ObjectData(0), half).ok());
-    ASSERT_TRUE(
-        store.StageRun(0, half, next.ObjectData(half),
-                       layout_.num_objects() - half)
-            .ok());
-    const Status crash = store.SealAndApplyStaged(0);
-    ASSERT_FALSE(crash.ok());
-  }
-  // The crash hit after the seal fsync but before any in-place write: the
-  // image still holds the old bytes, the region the whole new batch.
+/// Every crash boundary of the direct protocol, under both backends: the
+/// target image is invalid afterwards and the sibling byte-identical.
+TEST_F(StoreTest, BackupCrashSweepLeavesTargetInvalidAndSiblingIntact) {
   const uint64_t data_size = layout_.num_objects() * layout_.object_size;
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), old_state.data(),
-                        data_size),
-            0);
-
-  auto reopened_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(reopened_or.ok());
-  // Reopen replayed the sealed batch into the image, then discarded it.
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), next.data(), data_size), 0);
-  auto chunks = DoublewriteRegion::Scan(paths::DoublewritePath(dir_));
-  ASSERT_TRUE(chunks.ok());
-  EXPECT_TRUE(chunks.value().empty());
+  const uint64_t half_bytes = layout_.num_objects() / 2 * layout_.object_size;
+  for (const IoBackendKind kind :
+       {IoBackendKind::kSync, IoBackendKind::kAsync}) {
+    for (const BackupStore::StageCrashPoint point : kCrashPoints) {
+      SCOPED_TRACE(std::string(IoBackendKindName(kind)) + " crash point " +
+                   std::to_string(static_cast<int>(point)));
+      std::filesystem::remove_all(dir_);
+      StateTable old0 = MakeState(12);
+      StateTable old1 = MakeState(13);
+      StateTable next = MakeState(14);
+      {
+        auto backend = IoBackend::Create(kind);
+        auto store_or = BackupStore::Open(dir_, layout_, false, backend.get());
+        ASSERT_TRUE(store_or.ok());
+        auto& store = *store_or.value();
+        WriteFullImage(store, 0, old0, 1, 10);
+        WriteFullImage(store, 1, old1, 2, 20);
+        store.SetStageCrashPointForTest(point);
+        EXPECT_FALSE(WriteTwoRunCheckpoint(store, 0, next, 3, 30).ok());
+      }
+      // What reached the target before the crash: none of the new runs,
+      // the first only, or both.
+      const uint64_t landed =
+          point == BackupStore::StageCrashPoint::kAfterBegin      ? 0
+          : point == BackupStore::StageCrashPoint::kAfterFirstRun ? half_bytes
+                                                                  : data_size;
+      const std::string target = ImageDataBytes(0);
+      EXPECT_EQ(std::memcmp(target.data(), next.data(), landed), 0);
+      EXPECT_EQ(std::memcmp(target.data() + landed, old0.data() + landed,
+                            data_size - landed),
+                0);
+      auto reopened_or = BackupStore::Open(dir_, layout_, false, nullptr,
+                                           /*writable=*/false);
+      ASSERT_TRUE(reopened_or.ok());
+      auto& reopened = *reopened_or.value();
+      auto info0 = reopened.Inspect(0);
+      ASSERT_TRUE(info0.ok());
+      EXPECT_FALSE(info0->valid);
+      EXPECT_EQ(std::memcmp(ImageDataBytes(1).data(), old1.data(), data_size),
+                0);
+      StateTable restored(layout_);
+      ASSERT_TRUE(reopened.ReadAll(1, &restored).ok());
+      EXPECT_TRUE(restored.ContentEquals(old1));
+    }
+  }
 }
 
-TEST_F(StoreTest, BackupTornInPlaceApplyRepairedByReplay) {
-  StateTable old_state = MakeState(17);
-  StateTable next = MakeState(18);
-  const uint64_t half = layout_.num_objects() / 2;
-  {
-    auto store_or = BackupStore::Open(dir_, layout_, false);
-    ASSERT_TRUE(store_or.ok());
-    auto& store = *store_or.value();
-    WriteFullImage(store, 0, old_state, 1, 10);
-    store.SetStageCrashPointForTest(
-        BackupStore::StageCrashPoint::kAfterFirstApply);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    ASSERT_TRUE(store.StageRun(0, 0, next.ObjectData(0), half).ok());
-    ASSERT_TRUE(
-        store.StageRun(0, half, next.ObjectData(half),
-                       layout_.num_objects() - half)
-            .ok());
-    // Crash mid-apply: the first run landed in place, the second did not.
-    const Status crash = store.SealAndApplyStaged(0);
-    ASSERT_FALSE(crash.ok());
+/// The same sweep one level up: a finished engine run, then a next
+/// checkpoint that crashes into the older image. Recovery restores the
+/// sibling and replays the logical log from its consistent tick to
+/// exactly the crash tick.
+TEST_F(StoreTest, EngineRecoversTheCrashTickAtEveryCrashPoint) {
+  for (const BackupStore::StageCrashPoint point : kCrashPoints) {
+    SCOPED_TRACE(static_cast<int>(point));
+    std::filesystem::remove_all(dir_);
+    const EngineConfig config = EngineTestConfig();
+    const std::unique_ptr<Engine> engine = RunEngine(config, 40);
+    ASSERT_NE(engine, nullptr);
+    ImageInfo sibling;
+    ASSERT_NO_FATAL_FAILURE(CrashNextCheckpoint(point, &sibling));
+
+    StateTable recovered(layout_);
+    auto result = Recover(config, &recovered);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(recovered.ContentEquals(engine->state()));
+    EXPECT_EQ(result->recovered_ticks, 40u);
+    EXPECT_EQ(result->image_seq, sibling.seq);
+    EXPECT_EQ(result->ticks_replayed, 40u - sibling.consistent_tick);
   }
-  const uint64_t data_size = layout_.num_objects() * layout_.object_size;
-  // Reopen replays the whole sealed batch: the torn in-place write is
-  // repaired deterministically, every object carrying the new bytes.
-  auto reopened_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(reopened_or.ok());
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), next.data(), data_size), 0);
 }
 
-TEST_F(StoreTest, DoublewriteReplayIsIdempotent) {
-  StateTable next = MakeState(19);
-  const uint64_t half = layout_.num_objects() / 2;
-  {
-    auto store_or = BackupStore::Open(dir_, layout_, false);
-    ASSERT_TRUE(store_or.ok());
-    auto& store = *store_or.value();
-    StateTable old_state = MakeState(20);
-    WriteFullImage(store, 0, old_state, 1, 10);
-    store.SetStageCrashPointForTest(BackupStore::StageCrashPoint::kAfterSeal);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    ASSERT_TRUE(store.StageRun(0, 0, next.ObjectData(0), half).ok());
-    ASSERT_TRUE(
-        store.StageRun(0, half, next.ObjectData(half),
-                       layout_.num_objects() - half)
-            .ok());
-    ASSERT_FALSE(store.SealAndApplyStaged(0).ok());
-  }
-  // A replay that itself crashes after one chunk leaves the region intact;
-  // the next full replay starts over and still converges on the batch.
-  const std::string dw_path = paths::DoublewritePath(dir_);
-  const std::string image_paths[2] = {
-      dir_ + "/" + BackupStore::ImageFileName(0),
-      dir_ + "/" + BackupStore::ImageFileName(1)};
-  auto partial = DoublewriteRegion::Replay(dw_path, image_paths, 2,
-                                           /*fsync_enabled=*/false,
-                                           /*apply_at_most=*/1);
-  ASSERT_TRUE(partial.ok());
-  EXPECT_EQ(partial.value(), 1u);
-  auto mid_chunks = DoublewriteRegion::Scan(dw_path);
-  ASSERT_TRUE(mid_chunks.ok());
-  EXPECT_EQ(mid_chunks.value().size(), 2u);  // region untouched
+/// A doublewrite region an older version left behind is ignored by
+/// recovery (which creates and deletes nothing) and removed by the next
+/// writable open.
+TEST_F(StoreTest, StaleDoublewriteRegionIsIgnoredThenDeletedOnResume) {
+  const EngineConfig config = EngineTestConfig();
+  const std::unique_ptr<Engine> engine = RunEngine(config, 40);
+  ASSERT_NE(engine, nullptr);
+  ImageInfo sibling;
+  ASSERT_NO_FATAL_FAILURE(CrashNextCheckpoint(
+      BackupStore::StageCrashPoint::kAfterFirstRun, &sibling));
+  const std::string stale = dir_ + "/" + paths::DoublewriteFileName();
+  ASSERT_TRUE(WriteStringToFile(stale, std::string(4096, '\x5a')).ok());
 
-  auto reopened_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(reopened_or.ok());
-  const uint64_t data_size = layout_.num_objects() * layout_.object_size;
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), next.data(), data_size), 0);
-  auto final_chunks = DoublewriteRegion::Scan(dw_path);
-  ASSERT_TRUE(final_chunks.ok());
-  EXPECT_TRUE(final_chunks.value().empty());
+  StateTable recovered(layout_);
+  auto result = Recover(config, &recovered);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(recovered.ContentEquals(engine->state()));
+  EXPECT_EQ(result->image_seq, sibling.seq);
+  EXPECT_TRUE(FileExists(stale));
+
+  auto resumed_or =
+      Engine::OpenResumed(config, recovered, result->recovered_ticks);
+  ASSERT_TRUE(resumed_or.ok()) << resumed_or.status().ToString();
+  EXPECT_FALSE(FileExists(stale));
+  ASSERT_TRUE(resumed_or.value()->Shutdown().ok());
+}
+
+TEST_F(StoreTest, RecoveryCreatesNoDirectoryOrImage) {
+  for (const AlgorithmKind kind :
+       {AlgorithmKind::kCopyOnUpdate,
+        AlgorithmKind::kCopyOnUpdatePartialRedo}) {
+    EngineConfig config = EngineTestConfig();
+    config.algorithm = kind;
+    StateTable recovered(layout_);
+    EXPECT_FALSE(Recover(config, &recovered).ok());
+    EXPECT_FALSE(std::filesystem::exists(dir_));
+  }
 }
 
 TEST_F(StoreTest, LogFullFlushAndIncrementsRestore) {

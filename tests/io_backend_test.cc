@@ -1,6 +1,6 @@
 // Tests for the pluggable checkpoint write backends: both kinds must
 // honor the ticket-frontier, sticky-error, and bounded-depth contracts
-// the staged pipeline is built on.
+// the checkpoint write pipeline is built on.
 #include "util/io_backend.h"
 
 #include <gtest/gtest.h>
@@ -40,6 +40,12 @@ TEST_P(IoBackendTest, KindRoundTrip) {
   auto parsed = ParseIoBackendKind(IoBackendKindName(GetParam()));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value(), GetParam());
+}
+
+TEST_P(IoBackendTest, QueueDepthIsOneForSyncAndTheBoundForAsync) {
+  auto backend = IoBackend::Create(GetParam(), /*max_in_flight=*/4);
+  EXPECT_EQ(backend->queue_depth(),
+            GetParam() == IoBackendKind::kSync ? 1u : 4u);
 }
 
 TEST_P(IoBackendTest, WritesLandAfterWaitFor) {
