@@ -18,8 +18,8 @@
 //   write the fleet-level cut manifest (shard count, per-shard checkpoint
 //   seq, CRC) with an atomic tmp+rename publish. A crash anywhere before
 //   the rename -- including between the last shard ack and the commit --
-//   leaves no committed manifest, and recovery falls back to per-shard
-//   exact recovery as if no cut had been attempted.
+//   leaves no committed manifest, and cut recovery falls back to latest
+//   recovery as if no cut had been attempted.
 //
 // The manifest is what makes Fleet::RecoverToCut possible: it pins the
 // fleet to tick T even when later staggered checkpoints exist on disk.
@@ -62,7 +62,7 @@ Status WriteCutManifest(const std::string& root, const CutManifest& manifest,
 
 /// Reads the committed manifest. NotFound when no cut was ever committed;
 /// Corruption when the file is torn or fails its CRC (callers treat both
-/// as "no committed cut" and fall back to per-shard recovery).
+/// as "no committed cut" and fall back to latest recovery).
 StatusOr<CutManifest> ReadCutManifest(const std::string& root);
 
 /// The coordinator state machine, driven entirely from the fleet facade's

@@ -316,10 +316,10 @@ Status Engine::EndTick() {
         // block is the mutator stall the fleet bench reports.
         WaitForJobDone();
         TP_RETURN_NOT_OK(writer_status_);
-        active_job_->cut_stall_seconds = SecondsSince(stall_start);
+        cut_stall_seconds_ = SecondsSince(stall_start);
         // The stall subsumes any eager-copy pause: report the whole block
         // as this tick's overhead.
-        pause = active_job_->cut_stall_seconds;
+        pause = cut_stall_seconds_;
         FinalizeJob();
       } else {
         // Async pipeline: StartCheckpoint took the tick-T snapshot (the
@@ -328,8 +328,8 @@ Status Engine::EndTick() {
         // writer thread and is reaped at a later tick boundary (or by
         // CompletePendingCheckpoint). The mutator-visible stall is the
         // drain + snapshot only -- never the disk.
-        active_job_->cut_stall_seconds = SecondsSince(stall_start);
-        pause = active_job_->cut_stall_seconds;
+        cut_stall_seconds_ = SecondsSince(stall_start);
+        pause = cut_stall_seconds_;
       }
     }
     const bool interval_elapsed =
@@ -453,7 +453,8 @@ void Engine::FinalizeJob() {
   record.all_objects = active_job_->all_objects;
   record.full_flush = active_job_->full_flush;
   record.cut = active_job_->cut;
-  record.cut_stall_seconds = active_job_->cut_stall_seconds;
+  record.cut_stall_seconds = cut_stall_seconds_;
+  cut_stall_seconds_ = 0.0;
   record.objects_written = active_job_->object_count;
   record.bytes_written =
       active_job_->object_count * config_.layout.object_size;

@@ -268,7 +268,6 @@ class Engine {
     bool new_generation = false;
     uint64_t object_count = 0;
     double sync_seconds = 0.0;
-    double cut_stall_seconds = 0.0;
   };
 
   explicit Engine(const EngineConfig& config);
@@ -351,6 +350,10 @@ class Engine {
   std::atomic<bool> cut_checkpoint_requested_{false};
   Status injected_end_tick_error_;  // test-only, one-shot
   std::optional<Job> active_job_;
+  // Mutator stall of the in-flight cut checkpoint, reported by FinalizeJob.
+  // Kept out of Job: the writer copies *active_job_ under mu_ while the
+  // mutator measures the stall without it.
+  double cut_stall_seconds_ = 0.0;
 
   // Writer thread plumbing.
   std::thread writer_;

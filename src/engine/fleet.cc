@@ -25,15 +25,15 @@ bool HasShardDirs(const std::string& root) {
 }  // namespace
 
 StatusOr<std::unique_ptr<Fleet>> RecoveredFleet::Resume() {
-  const ShardedEngineConfig config = ConfigFromManifest(manifest_, root_);
-  // A point-in-time landing resumes as a NEW fleet epoch (committed after
-  // every bootstrap is durable): the old timeline's future generations are
+  const ShardedEngineConfig config = ConfigFromManifest(manifest(), root_);
+  // A tick landing resumes as a NEW fleet epoch (committed after every
+  // bootstrap is durable): the old timeline's future generations are
   // retired inside each Engine::OpenResumed, and the epoch bump is the
   // fleet-wide commit point of the new timeline.
   TP_ASSIGN_OR_RETURN(
       auto engine,
       ShardedEngine::OpenResumed(config, tables_, resume_tick(),
-                                 /*bump_epoch=*/at_tick_));
+                                 /*bump_epoch=*/at_requested_tick()));
   return std::unique_ptr<Fleet>(new Fleet(root_, std::move(engine)));
 }
 
@@ -73,13 +73,12 @@ StatusOr<std::unique_ptr<Fleet>> Fleet::Open(const std::string& root) {
   return recovered.Resume();
 }
 
-StatusOr<RecoveredFleet> Fleet::Recover(const std::string& root) {
+StatusOr<RecoveredFleet> Fleet::RecoverTo(const std::string& root,
+                                          const RecoveryTarget& target) {
   RecoveredFleet recovered;
   recovered.root_ = root;
-  TP_ASSIGN_OR_RETURN(FleetRecoveryOutcome outcome,
-                      RecoverFleet(root, &recovered.tables_));
-  recovered.manifest_ = std::move(outcome.manifest);
-  recovered.result_ = std::move(outcome.result);
+  TP_ASSIGN_OR_RETURN(recovered.result_,
+                      RecoverFleetTo(root, target, &recovered.tables_));
   return recovered;
 }
 
@@ -99,33 +98,6 @@ Status Fleet::EnableAutoRebalance(const RebalancePolicy& policy) {
   }
   rebalancer_ = std::make_unique<Rebalancer>(policy);
   return Status::OK();
-}
-
-StatusOr<RecoveredFleet> Fleet::RecoverToCut(const std::string& root) {
-  RecoveredFleet recovered;
-  recovered.root_ = root;
-  TP_ASSIGN_OR_RETURN(FleetRecoveryOutcome outcome,
-                      RecoverFleetToCut(root, &recovered.tables_));
-  recovered.manifest_ = std::move(outcome.manifest);
-  recovered.result_ = std::move(outcome.result);
-  return recovered;
-}
-
-StatusOr<RecoveredFleet> Fleet::RecoverToTick(const std::string& root,
-                                              uint64_t tick) {
-  RecoveredFleet recovered;
-  recovered.root_ = root;
-  recovered.target_tick_ = tick;
-  TP_ASSIGN_OR_RETURN(FleetRecoveryOutcome outcome,
-                      RecoverFleetToTick(root, tick, &recovered.tables_));
-  recovered.manifest_ = std::move(outcome.manifest);
-  recovered.result_ = std::move(outcome.result);
-  recovered.at_tick_ = recovered.result_.used_manifest;
-  return recovered;
-}
-
-StatusOr<HistoryWindow> Fleet::RestorableWindow(const std::string& root) {
-  return RestorableFleetWindow(root);
 }
 
 }  // namespace tickpoint

@@ -1,28 +1,24 @@
-// The unified fleet handle: create / open / recover / resume a sharded
-// checkpoint fleet from its ROOT DIRECTORY alone.
-//
-// The paper's recovery model assumes the restarting server knows the
-// crashed server's exact configuration; the pre-manifest API inherited
-// that (its config-supplying recovery shims only worked when the caller
-// re-supplied a bit-identical ShardedEngineConfig; they are gone). The
-// Fleet handle retires the assumption: Fleet::Create persists a durable
-// FleetManifest superblock (fleet_manifest.h) next to the data, and
-// Fleet::Open / Fleet::Recover discover topology, layout, algorithm, disk
-// organization, and every knob from it -- the disk tells you.
+// The fleet handle: create / open / recover / resume a sharded checkpoint
+// fleet from its ROOT DIRECTORY alone. Fleet::Create persists a durable
+// FleetManifest superblock (fleet_manifest.h) next to the data; every
+// later step discovers topology, layout, algorithm, disk organization and
+// every knob from it -- the disk tells you.
 //
 // Lifecycle:
 //   Fleet::Create(root, config)  -- a NEW fleet; refuses a root that is
 //                                   already a fleet.
-//   Fleet::Open(root)            -- reopen an existing fleet: recover the
-//                                   newest exact state and resume in one
-//                                   call (Recover + Resume).
-//   Fleet::Recover(root)         -- recovery only: returns a
-//                                   RecoveredFleet holding the manifest,
-//                                   per-partition tables, and recovery
-//                                   stats; .Resume() restarts the fleet.
-//   Fleet::RecoverToCut(root)    -- like Recover, but lands on the
-//                                   committed consistent cut when one is
-//                                   reproducible.
+//   Fleet::Recover(root), RecoverToCut(root), RecoverToTick(root, T)
+//                                -- recovery only, to the latest, cut or
+//                                   tick target, through the single fleet
+//                                   path (RecoverFleetTo in recovery.h):
+//                                   returns a RecoveredFleet holding the
+//                                   per-partition tables and the
+//                                   FleetRecoveryResult. A cut or tick
+//                                   target the fleet cannot reproduce
+//                                   falls back to latest fleet-wide.
+//   RecoveredFleet::Resume()     -- restarts the recovered fleet; a tick
+//                                   landing resumes as a new fleet epoch.
+//   Fleet::Open(root)            -- Recover + Resume in one call.
 // The handle forwards the tick/cut API of ShardedEngine and adds
 // MigratePartition -- the zone hand-off at a committed cut that bumps the
 // fleet epoch (see ShardedEngine::MigratePartition for the protocol) --
@@ -48,52 +44,46 @@ namespace tickpoint {
 
 class Fleet;
 
-/// The output of Fleet::Recover/RecoverToCut: everything read back from
-/// disk, ready to inspect or to Resume() into a live fleet.
+/// The output of a fleet recovery: everything read back from disk, ready
+/// to inspect or to Resume() into a live fleet.
 class RecoveredFleet {
  public:
   /// The durable fleet description recovery ran under.
-  const FleetManifest& manifest() const { return manifest_; }
-  /// Per-partition recovery stats; result().used_manifest distinguishes a
-  /// cut landing from the per-shard fallback.
-  const ShardedCutRecoveryResult& result() const { return result_; }
-  /// True when this recovery landed on a committed consistent cut.
-  bool at_cut() const { return result_.used_manifest; }
+  const FleetManifest& manifest() const { return result_.manifest; }
+  /// The target, whether the fleet landed on it (and why not), and the
+  /// per-partition recovery stats.
+  const FleetRecoveryResult& result() const { return result_; }
+  /// True when this recovery landed on its cut or tick target.
+  bool at_cut() const { return result_.landed; }
+  /// True when a tick target landed; false after a fallback.
+  bool at_requested_tick() const {
+    return result_.landed &&
+           result_.target.kind == RecoveryTarget::Kind::kTick;
+  }
   /// The recovered per-partition state, indexed by partition.
   std::vector<StateTable>& tables() { return tables_; }
   const std::vector<StateTable>& tables() const { return tables_; }
-  /// First tick a resumed incarnation will run: cut_tick + 1 after a cut
+  /// First tick a resumed incarnation will run: cut_tick + 1 after a
   /// landing, otherwise the fleet's minimum recovered tick.
   uint64_t resume_tick() const {
     return at_cut() ? result_.cut_tick + 1
                     : result_.fleet.min_recovered_ticks;
   }
 
-  /// Fleet::RecoverToTick only: true when every shard landed at exactly
-  /// the requested tick; false when some shard could not reproduce it and
-  /// the whole fleet fell back to latest recovery (see target_tick()).
-  bool at_requested_tick() const { return at_tick_; }
-  /// The tick Fleet::RecoverToTick was asked for (meaningful whether or
-  /// not it was reached).
-  uint64_t target_tick() const { return target_tick_; }
-
   /// Restarts the fleet from this recovered state (the
   /// ShardedEngine::OpenResumed workflow: per-partition synchronous
   /// bootstrap checkpoints, stale state retired). Consumes the tables.
-  /// After a point-in-time landing (at_requested_tick()), the resume
-  /// additionally commits the manifest as a new fleet epoch once every
-  /// bootstrap is durable -- the old timeline's divergent future is
-  /// retired and can never shadow the new one.
+  /// After a tick landing (at_requested_tick()), the resume additionally
+  /// commits the manifest as a new fleet epoch once every bootstrap is
+  /// durable -- the old timeline's divergent future is retired and can
+  /// never shadow the new one.
   StatusOr<std::unique_ptr<Fleet>> Resume();
 
  private:
   friend class Fleet;
   std::string root_;
-  FleetManifest manifest_;
-  ShardedCutRecoveryResult result_;
+  FleetRecoveryResult result_;
   std::vector<StateTable> tables_;
-  bool at_tick_ = false;
-  uint64_t target_tick_ = 0;
 };
 
 /// A live sharded checkpoint fleet bound to its self-describing root.
@@ -107,34 +97,35 @@ class Fleet {
   static StatusOr<std::unique_ptr<Fleet>> Create(
       const std::string& root, const ShardedEngineConfig& config);
 
-  /// Reopens an existing fleet from its root alone: reads the manifest,
-  /// recovers the newest exact per-partition state, and resumes. NotFound
-  /// when `root` is not a fleet.
+  /// Reopens an existing fleet from its root alone: Recover + Resume.
+  /// NotFound when `root` is not a fleet.
   static StatusOr<std::unique_ptr<Fleet>> Open(const std::string& root);
 
-  /// Recovery without resuming (inspect, verify, or hand the tables to a
-  /// different process model). No config argument: the manifest is the
-  /// source of truth.
-  static StatusOr<RecoveredFleet> Recover(const std::string& root);
+  // Recovery without resuming (inspect, verify, or hand the tables to a
+  // different process model): each is one call of RecoverFleetTo.
 
-  /// Like Recover, but lands on the committed consistent cut when one is
-  /// reproducible (per-shard exact fallback otherwise).
-  static StatusOr<RecoveredFleet> RecoverToCut(const std::string& root);
-
-  /// Point-in-time recovery (retention must have been enabled when the
-  /// fleet ran): lands every partition at EXACTLY the end of `tick`, for
-  /// any tick inside RestorableWindow. When some shard cannot reproduce
-  /// the tick, falls back to latest recovery fleet-wide -- inspect
-  /// at_requested_tick() on the result. Resuming the result continues the
-  /// old timeline from `tick` as a NEW fleet epoch.
+  /// The newest recoverable state.
+  static StatusOr<RecoveredFleet> Recover(const std::string& root) {
+    return RecoverTo(root, RecoveryTarget::Latest());
+  }
+  /// The committed consistent cut, reaching into retained history when
+  /// the live logs no longer reach it.
+  static StatusOr<RecoveredFleet> RecoverToCut(const std::string& root) {
+    return RecoverTo(root, RecoveryTarget::Cut());
+  }
+  /// Point-in-time recovery to EXACTLY the end of `tick`, for any tick
+  /// inside RestorableWindow; check at_requested_tick(). Resuming the
+  /// result continues the old timeline from `tick` as a NEW fleet epoch.
   static StatusOr<RecoveredFleet> RecoverToTick(const std::string& root,
-                                                uint64_t tick);
-
-  /// The fleet's restorable tick window (intersection of every shard's
-  /// retained history): every tick inside it satisfies RecoverToTick with
-  /// at_requested_tick() true. `any` false = no window (retention off or
-  /// no usable history yet).
-  static StatusOr<HistoryWindow> RestorableWindow(const std::string& root);
+                                                uint64_t tick) {
+    return RecoverTo(root, RecoveryTarget::Tick(tick));
+  }
+  /// The fleet's restorable tick window (RestorableFleetWindow): every
+  /// tick inside it lands RecoverToTick. `any` false = no window
+  /// (retention off or no usable history yet).
+  static StatusOr<HistoryWindow> RestorableWindow(const std::string& root) {
+    return RestorableFleetWindow(root);
+  }
 
   // ---- Forwarded tick/cut/migration API (see sharded_engine.h) ----
 
@@ -202,6 +193,9 @@ class Fleet {
 
  private:
   friend class RecoveredFleet;
+
+  static StatusOr<RecoveredFleet> RecoverTo(const std::string& root,
+                                            const RecoveryTarget& target);
 
   Fleet(std::string root, std::unique_ptr<ShardedEngine> engine)
       : root_(std::move(root)), engine_(std::move(engine)) {}

@@ -168,13 +168,6 @@ std::string FleetManifest::MountRootOf(uint32_t partition) const {
   return mount_root[partition];
 }
 
-bool FleetManifest::IsIdentityAssignment() const {
-  for (uint32_t p = 0; p < assignment.size(); ++p) {
-    if (assignment[p] != p) return false;
-  }
-  return true;
-}
-
 Status WriteFleetManifest(const std::string& root,
                           const FleetManifest& manifest, bool fsync) {
   const std::string path = paths::FleetManifestPath(root, manifest.epoch);

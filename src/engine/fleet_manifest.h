@@ -93,10 +93,6 @@ struct FleetManifest {
 
   /// mount_root[p], or "" when no overrides are recorded.
   std::string MountRootOf(uint32_t partition) const;
-
-  /// True when assignment[p] == p for all partitions (a fleet the
-  /// deprecated config-supplying free functions can still recover).
-  bool IsIdentityAssignment() const;
 };
 
 /// Atomically publishes `manifest` as fleet-manifest-<epoch>.bin under

@@ -89,7 +89,7 @@ struct HistoryIndex {
 };
 
 /// The restorable tick window advertised by one shard's history: every
-/// tick T in [low_tick, high_tick] satisfies RecoverShardToHistoricTick.
+/// tick T in [low_tick, high_tick] satisfies RecoverToTick (recovery.h).
 struct HistoryWindow {
   bool any = false;
   uint64_t low_tick = 0;

@@ -172,6 +172,16 @@ StatusOr<LogicalLog::RangeStats> LogicalLog::ScanRange(
   return stats;
 }
 
+StatusOr<uint64_t> LogicalLog::FirstTick(const std::string& path) {
+  uint64_t first = UINT64_MAX;
+  TP_RETURN_NOT_OK(
+      ScanLog(path, [&](uint64_t tick, const std::vector<CellUpdate>&) {
+        first = tick;
+        return false;
+      }));
+  return first;
+}
+
 StatusOr<LogicalLog::RangeStats> LogicalLog::CopyRecords(
     const std::string& path, uint64_t from_tick, uint64_t up_to_tick,
     FileWriter* writer) {

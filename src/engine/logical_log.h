@@ -102,6 +102,10 @@ class LogicalLog {
   /// Scans the log and reports the first/last intact tick.
   static StatusOr<RangeStats> ScanRange(const std::string& path);
 
+  /// The tick of the log's first intact record, UINT64_MAX when it holds
+  /// none. Reads only that record.
+  static StatusOr<uint64_t> FirstTick(const std::string& path);
+
   /// Copies intact records with tick in [from_tick, up_to_tick] from
   /// `path` onto `writer`, re-serialized in the on-disk record format (so
   /// the destination file replays with LogicalLog::Replay). The history

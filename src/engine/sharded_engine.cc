@@ -274,9 +274,10 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
     // the untouched shards still carry their pre-crash sources, so cut
     // recovery reproduces the fleet-consistent state at the cut exactly.
     // When the manifest's cut is older than first_tick, the resumed
-    // shards can no longer reproduce it and recovery falls back to
-    // per-shard exactness (see RecoverFleetToCut) -- but the restore
-    // point is never destroyed while it was still reachable.
+    // shards reproduce it only from retained history; without it, cut
+    // recovery falls back to latest fleet-wide (see RecoverFleetTo) --
+    // but the restore point is never destroyed while it was still
+    // reachable.
     TP_RETURN_NOT_OK(RemoveFileIfExists(CutManifestPath(config.shard.dir)));
   }
   if (bump_epoch) {

@@ -204,7 +204,7 @@ class ShardedEngine {
   /// Phase 2: barriers the fleet (WaitForIdle), verifies every shard
   /// produced its cut checkpoint, and atomically commits the fleet cut
   /// manifest. A crash before this commit -- even with all shards acked --
-  /// leaves no manifest, and recovery falls back to per-shard exactness.
+  /// leaves no manifest, and cut recovery falls back to latest.
   /// FailedPrecondition if no cut is armed or tick T has not run yet. On
   /// any error the cut is abandoned (no manifest).
   Status CommitConsistentCut();
@@ -365,7 +365,7 @@ class ShardedEngine {
       const ShardedEngineConfig& config);
 
   /// Fleet restart: re-opens every shard from recovered state -- the
-  /// output of RecoverFleet or RecoverFleetToCut, one table per partition
+  /// output of RecoverFleetTo, one table per partition
   /// in partition order -- and resumes the fleet tick counter at
   /// `first_tick` (crash recovery: the crash fleet's recovered_ticks; cut
   /// recovery: cut_tick + 1). Each shard runs Engine::OpenResumed, so per
@@ -379,8 +379,8 @@ class ShardedEngine {
   /// mid-resume never destroys a cut restore point while it is still
   /// reachable: resuming from the cut itself (first_tick == cut_tick + 1)
   /// keeps the fleet recoverable to exactly the cut throughout the
-  /// resume, and an older cut degrades to the per-shard fallback inside
-  /// the cut-recovery path.
+  /// resume, and an older cut is reached through retained history or
+  /// degrades to the fleet-wide latest fallback (RecoverFleetTo).
   ///
   /// `bump_epoch` (a point-in-time resume, RecoveredFleet::Resume after
   /// Fleet::RecoverToTick): once every shard's bootstrap is durable, the

@@ -162,12 +162,19 @@ namespace internal {
     if (!_tp_st.ok()) return _tp_st;                \
   } while (0)
 
-#define TP_ASSIGN_OR_RETURN(lhs, statusor_expr)     \
-  auto _tp_so_##__LINE__ = (statusor_expr);         \
-  if (!_tp_so_##__LINE__.ok()) {                    \
-    return _tp_so_##__LINE__.status();              \
-  }                                                 \
-  lhs = std::move(_tp_so_##__LINE__).value();
+// Two-level paste so __LINE__ expands: each use in a scope gets its own
+// temporary.
+#define TP_CONCAT_INNER(a, b) a##b
+#define TP_CONCAT(a, b) TP_CONCAT_INNER(a, b)
+
+#define TP_ASSIGN_OR_RETURN(lhs, statusor_expr) \
+  TP_ASSIGN_OR_RETURN_IMPL(TP_CONCAT(_tp_so_, __LINE__), lhs, statusor_expr)
+#define TP_ASSIGN_OR_RETURN_IMPL(so, lhs, statusor_expr) \
+  auto so = (statusor_expr);                             \
+  if (!so.ok()) {                                        \
+    return so.status();                                  \
+  }                                                      \
+  lhs = std::move(so).value();
 
 }  // namespace tickpoint
 

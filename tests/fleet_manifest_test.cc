@@ -107,7 +107,7 @@ TEST_F(FleetManifestTest, RoundTripsEveryField) {
   EXPECT_FALSE(read.threaded);
   EXPECT_EQ(read.max_queue_ticks, 17u);
   EXPECT_EQ(read.cut_lead_ticks, 4u);
-  EXPECT_FALSE(read.IsIdentityAssignment());
+  EXPECT_EQ(read.assignment, written.assignment);
   EXPECT_EQ(read.PartitionDir(dir_, 1), paths::ShardDir(dir_, 4));
 }
 

@@ -188,7 +188,7 @@ TEST_P(FleetRecoveryParityTest, RecoverToTickMatchesSerial) {
     ASSERT_TRUE(fleet_or->at_requested_tick());
     ExpectMatchesSerial(*fleet_or,
                         [tick](const EngineConfig& config, StateTable* out) {
-                          return RecoverToHistoricTick(config, tick, out);
+                          return RecoverToTick(config, tick, out);
                         });
   }
 }
@@ -199,7 +199,7 @@ TEST_P(FleetRecoveryParityTest, OneCorruptShardFallsBackFleetWide) {
   StripShard(broken);
   {
     StateTable table(ShardLayout());
-    ASSERT_EQ(RecoverToHistoricTick(ShardConfig(broken), kTicks - 1, &table)
+    ASSERT_EQ(RecoverToTick(ShardConfig(broken), kTicks - 1, &table)
                   .status()
                   .code(),
               StatusCode::kCorruption);
@@ -234,7 +234,7 @@ TEST_P(FleetRecoveryParityTest, LowestFailingShardDecides) {
   EXPECT_EQ(Fleet::RecoverToCut(dir_).status(),
             RecoverToTick(low_config, manifest_or->cut_tick, &table).status());
   EXPECT_EQ(Fleet::RecoverToTick(dir_, kTicks - 1).status(),
-            RecoverToHistoricTick(low_config, kTicks - 1, &table).status());
+            RecoverToTick(low_config, kTicks - 1, &table).status());
 }
 
 INSTANTIATE_TEST_SUITE_P(

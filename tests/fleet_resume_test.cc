@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/consistent_cut.h"
 #include "engine/mutator.h"
 #include "engine/recovery.h"
 #include "engine/sharded_engine.h"
@@ -78,6 +79,42 @@ class FleetResumeTest : public ::testing::Test {
       }
       ASSERT_TRUE(engine->EndTick().ok());
     }
+  }
+
+  /// The other mid-resume window: a fleet with a committed cut crashes well
+  /// past it, is resumed from a PLAIN crash recovery (first_tick past the
+  /// cut), and dies after shard 0's resume truncated the logical log the
+  /// cut depended on but before shard 1 starts. The cut manifest survives.
+  /// Returns the resume tick; `at_cut` receives the fleet state at the cut.
+  uint64_t CrashMidResumePastTheCut(const ShardedEngineConfig& config,
+                                    std::vector<StateTable>* reference,
+                                    std::vector<StateTable>* at_cut) {
+    {
+      auto fleet_or = Fleet::Create(config.shard.dir, config);
+      EXPECT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+      if (!fleet_or.ok()) return 0;
+      ShardedEngine& engine = fleet_or.value()->engine();
+      RunTicks(&engine, 1, reference);
+      auto cut_or = engine.RequestConsistentCut();
+      EXPECT_TRUE(cut_or.ok());
+      RunTicks(&engine, cut_or.value() + 1 - engine.current_tick(), reference);
+      *at_cut = SnapshotTables(*reference);
+      EXPECT_TRUE(engine.CommitConsistentCut().ok());
+      RunTicks(&engine, 5, reference);  // well past the cut
+      EXPECT_TRUE(engine.SimulateCrash().ok());
+    }
+    auto crash_or = Fleet::Recover(config.shard.dir);
+    EXPECT_TRUE(crash_or.ok()) << crash_or.status().ToString();
+    if (!crash_or.ok()) return 0;
+    const uint64_t resume_tick = crash_or->resume_tick();
+    EngineConfig shard0 = config.shard;
+    shard0.dir = ShardedEngine::ShardDir(config.shard.dir, 0);
+    shard0.manual_checkpoints = true;
+    auto engine_or =
+        Engine::OpenResumed(shard0, crash_or->tables()[0], resume_tick);
+    EXPECT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+    if (engine_or.ok()) EXPECT_TRUE(engine_or.value()->SimulateCrash().ok());
+    return resume_tick;
   }
 
   std::string dir_;
@@ -381,46 +418,51 @@ TEST_F(FleetResumeTest, CrashMidResumePreservesTheCutRestorePoint) {
 }
 
 TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutFallsBackPerShard) {
-  // The other mid-resume window: the fleet is resumed from a PLAIN crash
-  // recovery (first_tick past the committed cut), so an already-resumed
-  // shard's truncated log can no longer reproduce the older cut. The
-  // still-present manifest must degrade to the per-shard exact fallback
-  // -- not half-apply, and not surface Corruption.
+  // Without retained history, shard 0 can no longer reproduce the older
+  // cut. The still-present manifest must degrade to the fleet-wide latest
+  // fallback, report why -- not half-apply, and not surface Corruption.
   const auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
   std::vector<StateTable> reference;
-  {
-    auto fleet_or = Fleet::Create(config.shard.dir, config);
-    ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
-    ShardedEngine& engine = fleet_or.value()->engine();
-    RunTicks(&engine, 1, &reference);
-    auto cut_or = engine.RequestConsistentCut();
-    ASSERT_TRUE(cut_or.ok());
-    RunTicks(&engine, cut_or.value() + 1 - engine.current_tick(), &reference);
-    ASSERT_TRUE(engine.CommitConsistentCut().ok());
-    RunTicks(&engine, 5, &reference);  // well past the cut
-    ASSERT_TRUE(engine.SimulateCrash().ok());
-  }
-  auto crash_or = Fleet::Recover(config.shard.dir);
-  ASSERT_TRUE(crash_or.ok()) << crash_or.status().ToString();
-  const uint64_t resume_tick = crash_or->resume_tick();
-  {
-    // Shard 0 resumes at the crash tick (not the cut), then death before
-    // shard 1 starts.
-    EngineConfig shard0 = config.shard;
-    shard0.dir = ShardedEngine::ShardDir(config.shard.dir, 0);
-    shard0.manual_checkpoints = true;
-    auto engine_or =
-        Engine::OpenResumed(shard0, crash_or->tables()[0], resume_tick);
-    ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
-    ASSERT_TRUE(engine_or.value()->SimulateCrash().ok());
-  }
+  std::vector<StateTable> at_cut;
+  const uint64_t resume_tick =
+      CrashMidResumePastTheCut(config, &reference, &at_cut);
+  ASSERT_FALSE(HasFailure());
   auto after_or = Fleet::RecoverToCut(config.shard.dir);
   ASSERT_TRUE(after_or.ok()) << after_or.status().ToString();
   EXPECT_FALSE(after_or->at_cut());
+  EXPECT_EQ(after_or->result().target.kind, RecoveryTarget::Kind::kCut);
+  EXPECT_EQ(after_or->result().fallback.code(), StatusCode::kCorruption)
+      << after_or->result().fallback.ToString();
   EXPECT_EQ(after_or->result().fleet.min_recovered_ticks, resume_tick);
   EXPECT_EQ(after_or->result().fleet.max_recovered_ticks, resume_tick);
   for (uint32_t i = 0; i < 2; ++i) {
     EXPECT_TRUE(after_or->tables()[i].ContentEquals(reference[i]))
+        << "shard " << i;
+  }
+}
+
+TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutLandsFromHistory) {
+  // The same window with retention on: shard 0's resume archived the log
+  // slice the cut depends on before truncating it, so cut recovery --
+  // tick recovery at the cut's tick -- lands on the cut from history.
+  auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
+  config.shard.retention.enabled = true;
+  config.shard.retention.max_generations = 8;
+  std::vector<StateTable> reference;
+  std::vector<StateTable> at_cut;
+  CrashMidResumePastTheCut(config, &reference, &at_cut);
+  ASSERT_FALSE(HasFailure());
+  auto after_or = Fleet::RecoverToCut(config.shard.dir);
+  ASSERT_TRUE(after_or.ok()) << after_or.status().ToString();
+  ASSERT_TRUE(after_or->at_cut()) << after_or->result().fallback.ToString();
+  EXPECT_TRUE(after_or->result().fallback.ok());
+  EXPECT_FALSE(after_or->at_requested_tick());  // a cut, not a tick target
+  auto manifest_or = ReadCutManifest(config.shard.dir);
+  ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().ToString();
+  EXPECT_EQ(after_or->result().cut_tick, manifest_or->cut_tick);
+  EXPECT_EQ(after_or->resume_tick(), manifest_or->cut_tick + 1);
+  for (uint32_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(after_or->tables()[i].ContentEquals(at_cut[i]))
         << "shard " << i;
   }
 }

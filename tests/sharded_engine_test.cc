@@ -544,19 +544,34 @@ TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
     config.threaded = threaded;
     auto fleet_or = Fleet::Create(config.shard.dir, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
-    std::vector<StateTable> reference;
-    RunTicks(&fleet_or.value()->engine(), 20, &reference);
-    ASSERT_TRUE(fleet_or.value()->Shutdown().ok());
     fleets.push_back(std::move(fleet_or.value()));
   }
+  const auto checkpoints = [&](size_t fleet, uint32_t shard) {
+    return fleets[fleet]->engine().shard(shard).metrics().checkpoints.size();
+  };
+  // How many checkpoints a fixed tick count completes depends on writer
+  // timing, so both fleets tick in lockstep until every shard of each has
+  // completed three, bounded far above what an unslowed run needs.
+  constexpr uint64_t kMaxTicks = 400;
+  std::vector<std::vector<StateTable>> references(fleets.size());
+  for (bool all_three = false; !all_three;) {
+    ASSERT_LT(fleets[0]->current_tick(), kMaxTicks)
+        << "a shard completed fewer than three checkpoints";
+    all_three = true;
+    for (size_t f = 0; f < fleets.size(); ++f) {
+      RunTicks(&fleets[f]->engine(), 10, &references[f]);
+      ASSERT_TRUE(fleets[f]->WaitForIdle().ok());
+      for (uint32_t i = 0; i < 3; ++i) all_three &= checkpoints(f, i) >= 3;
+    }
+  }
+  for (const auto& fleet : fleets) ASSERT_TRUE(fleet->Shutdown().ok());
   for (uint32_t i = 0; i < 3; ++i) {
     const Engine& inline_shard = fleets[0]->engine().shard(i);
     const Engine& threaded_shard = fleets[1]->engine().shard(i);
     EXPECT_TRUE(threaded_shard.state().ContentEquals(inline_shard.state()))
         << "shard " << i;
-    const size_t inline_count = inline_shard.metrics().checkpoints.size();
-    const size_t threaded_count =
-        threaded_shard.metrics().checkpoints.size();
+    const size_t inline_count = checkpoints(0, i);
+    const size_t threaded_count = checkpoints(1, i);
     EXPECT_GE(inline_count, 3u) << "shard " << i;
     EXPECT_GE(threaded_count, 3u) << "shard " << i;
     const size_t difference = inline_count > threaded_count
@@ -794,11 +809,11 @@ TEST_P(ConsistentCutCrashRecoveryTest, FleetRecoversExactlyToTheCut) {
 
   auto recovered_or = Fleet::RecoverToCut(config.shard.dir);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
-  const ShardedCutRecoveryResult& result = recovered_or->result();
+  const FleetRecoveryResult& result = recovered_or->result();
   std::vector<StateTable>& recovered = recovered_or->tables();
   ASSERT_EQ(recovered.size(), param.num_shards);
   if (committed) {
-    EXPECT_TRUE(result.used_manifest);
+    EXPECT_TRUE(result.landed);
     EXPECT_TRUE(recovered_or->at_cut());
     EXPECT_EQ(result.cut_tick, cut_tick);
     EXPECT_EQ(result.fleet.min_recovered_ticks, cut_tick + 1);
@@ -810,7 +825,7 @@ TEST_P(ConsistentCutCrashRecoveryTest, FleetRecoversExactlyToTheCut) {
           << " diverges from the cut state";
     }
   } else {
-    EXPECT_FALSE(result.used_manifest);
+    EXPECT_FALSE(result.landed);
     EXPECT_EQ(result.fleet.min_recovered_ticks, param.crash_tick + 1);
     EXPECT_EQ(result.fleet.max_recovered_ticks, param.crash_tick + 1);
     for (uint32_t i = 0; i < param.num_shards; ++i) {
@@ -944,9 +959,9 @@ TEST_F(ShardedEngineTest, TornCutManifestFallsBackToPerShardRecovery) {
 
   auto recovered_or = Fleet::RecoverToCut(config.shard.dir);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
-  const ShardedCutRecoveryResult& result = recovered_or->result();
+  const FleetRecoveryResult& result = recovered_or->result();
   std::vector<StateTable>& recovered = recovered_or->tables();
-  EXPECT_FALSE(result.used_manifest);
+  EXPECT_FALSE(result.landed);
   EXPECT_EQ(result.fleet.min_recovered_ticks, crash_ticks);
   EXPECT_EQ(result.fleet.max_recovered_ticks, crash_ticks);
   for (uint32_t i = 0; i < 2; ++i) {
@@ -1037,14 +1052,14 @@ TEST_F(ShardedEngineTest, SeededRandomizedFleetCrashInjection) {
 
     auto recovered_or = Fleet::RecoverToCut(config.shard.dir);
     ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
-    const ShardedCutRecoveryResult& result = recovered_or->result();
+    const FleetRecoveryResult& result = recovered_or->result();
     std::vector<StateTable>& recovered = recovered_or->tables();
     ASSERT_EQ(recovered.size(), shape.num_shards);
     const std::vector<StateTable>& expected =
         committed ? reference_at_cut : reference;
     const uint64_t expected_ticks =
         committed ? cut_tick + 1 : shape.crash_tick + 1;
-    EXPECT_EQ(result.used_manifest, committed);
+    EXPECT_EQ(result.landed, committed);
     EXPECT_EQ(result.fleet.min_recovered_ticks, expected_ticks);
     EXPECT_EQ(result.fleet.max_recovered_ticks, expected_ticks);
     for (uint32_t i = 0; i < shape.num_shards; ++i) {
