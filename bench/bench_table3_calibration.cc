@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   char params[160];
   std::snprintf(params, sizeof(params), "disk scratch: %s (%llu MB)",
                 options.disk_dir.c_str(),
-                static_cast<unsigned long long>(options.disk_write_bytes >> 20));
+                static_cast<unsigned long long>(options.disk_write_bytes >>
+                                                20));
   ctx.PrintHeader(params);
 
   auto result_or = RunCalibration(options);

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   TablePrinter settings({"parameter", "setting"});
   settings.AddRow({"number of ticks", "1,000"});
   settings.AddRow({"number of table cells", "10,000,000"});
-  settings.AddRow({"number of updates per tick", "1,000 ... 64,000 ... 256,000"});
+  settings.AddRow(
+      {"number of updates per tick", "1,000 ... 64,000 ... 256,000"});
   settings.AddRow({"skew of update distribution", "0 ... 0.8 ... 0.99"});
   std::printf("\nTable 4 (paper settings; bold defaults 64,000 / 0.8)\n");
   bench::Emit(settings, ctx.csv());

@@ -65,8 +65,8 @@ inline void Emit(TablePrinter& table, bool csv) {
 }
 
 /// Runs all six algorithms over a Zipf trace and returns the results.
-inline std::vector<AlgorithmRunResult> RunZipf(const ZipfTraceConfig& trace,
-                                               const SimulationOptions& options) {
+inline std::vector<AlgorithmRunResult> RunZipf(
+    const ZipfTraceConfig& trace, const SimulationOptions& options) {
   ZipfUpdateSource source(trace);
   return RunSimulation(options, AllAlgorithms(), &source);
 }

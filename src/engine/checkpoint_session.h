@@ -50,7 +50,8 @@ class CheckpointWriteSession {
   /// the emit consumes every run synchronously (it must then return 0).
   CheckpointWriteSession(uint64_t object_size, IoBackend* backend,
                          EmitRun emit,
-                         uint64_t group_buffer_bytes = kDefaultGroupBufferBytes);
+                         uint64_t group_buffer_bytes =
+                             kDefaultGroupBufferBytes);
   ~CheckpointWriteSession();
 
   CheckpointWriteSession(const CheckpointWriteSession&) = delete;

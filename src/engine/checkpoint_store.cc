@@ -46,6 +46,99 @@ constexpr uint64_t kBackupDataOffset = 512;  // header block, sector aligned
 /// checksum, not the syscalls, sets the pace.
 constexpr uint64_t kRestoreBlockBytes = uint64_t{1} << 20;
 
+/// Walks a generation file once, segment by segment, stopping at the first
+/// torn or CRC-failing one. With `out` null, lists every valid segment.
+/// Otherwise applies and lists the segments with consistent tick <=
+/// `max_consistent_tick`, and lists nothing when the first segment is not a
+/// complete full flush within that bound. Corruption when a checksummed
+/// segment names an object id out of range.
+StatusOr<std::vector<SegmentInfo>> ScanGenerationFile(
+    const std::string& path, const StateLayout& layout, StateTable* out,
+    uint64_t max_consistent_tick) {
+  FileReader reader;
+  TP_RETURN_NOT_OK(reader.Open(path));
+  TP_ASSIGN_OR_RETURN(const uint64_t file_size, reader.Size());
+  const uint64_t record_bytes = sizeof(uint64_t) + layout.object_size;
+  // One bounded buffer serves every segment: whole records only, so the
+  // id of each record sits at a fixed stride inside a block.
+  const uint64_t block_records =
+      std::max<uint64_t>(1, kRestoreBlockBytes / record_bytes);
+  const uint64_t block_bytes = block_records * record_bytes;
+  std::unique_ptr<uint8_t[]> block(new uint8_t[block_bytes]);
+  std::vector<SegmentInfo> segments;
+  uint64_t offset = 0;
+  while (offset + sizeof(SegmentHeader) + sizeof(uint32_t) <= file_size) {
+    SegmentHeader header;
+    TP_RETURN_NOT_OK(reader.ReadAt(offset, &header, sizeof(header)));
+    if (header.magic != kSegmentMagic) break;
+    const uint64_t body_limit =
+        file_size - offset - sizeof(SegmentHeader) - sizeof(uint32_t);
+    if (header.object_count > body_limit / record_bytes) break;  // torn tail
+    const uint64_t records_bytes = header.object_count * record_bytes;
+    if (out != nullptr) {
+      if (segments.empty() &&
+          (header.full_flush == 0 ||
+           header.object_count != layout.num_objects() ||
+           header.consistent_tick > max_consistent_tick)) {
+        // Incomplete or past-the-bound full flush: the generation cannot
+        // restore anything, and the header alone says so.
+        break;
+      }
+      // Segments are appended in tick order: the rest are past the bound.
+      if (header.consistent_tick > max_consistent_tick) break;
+    }
+    // Pass 1: checksum the whole segment before applying any of it, noting
+    // the largest object id on the way.
+    uint32_t crc = Crc32(&header, sizeof(header));
+    uint64_t max_id = 0;
+    for (uint64_t done = 0; done < records_bytes;) {
+      const uint64_t n = std::min(block_bytes, records_bytes - done);
+      TP_RETURN_NOT_OK(reader.ReadExact(block.get(), n));
+      crc = Crc32(block.get(), n, crc);
+      for (uint64_t r = 0; r < n; r += record_bytes) {
+        uint64_t id;
+        std::memcpy(&id, block.get() + r, sizeof(id));
+        max_id = std::max(max_id, id);
+      }
+      done += n;
+    }
+    uint32_t stored;
+    TP_RETURN_NOT_OK(reader.ReadExact(&stored, sizeof(stored)));
+    // Uncommitted or corrupt: like any torn tail, the scan ends here.
+    if (stored != crc) break;
+    // Only a checksummed segment's ids are trusted enough to reject on.
+    if (max_id >= layout.num_objects()) {
+      return Status::Corruption("object id out of range in " + path);
+    }
+    // Pass 2: apply, straight from the block when the segment fit in one,
+    // else re-reading it block by block.
+    if (out != nullptr) {
+      const uint64_t records_offset = offset + sizeof(SegmentHeader);
+      for (uint64_t done = 0; done < records_bytes;) {
+        const uint64_t n = std::min(block_bytes, records_bytes - done);
+        if (records_bytes > block_bytes) {
+          TP_RETURN_NOT_OK(
+              reader.ReadAt(records_offset + done, block.get(), n));
+        }
+        for (uint64_t r = 0; r < n; r += record_bytes) {
+          uint64_t id;
+          std::memcpy(&id, block.get() + r, sizeof(id));
+          out->LoadObject(id, block.get() + r + sizeof(id));
+        }
+        done += n;
+      }
+    }
+    SegmentInfo info;
+    info.seq = header.seq;
+    info.consistent_tick = header.consistent_tick;
+    info.object_count = header.object_count;
+    info.full_flush = header.full_flush != 0;
+    segments.push_back(info);
+    offset += sizeof(SegmentHeader) + records_bytes + sizeof(uint32_t);
+  }
+  return segments;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Backup --
@@ -255,6 +348,7 @@ Status LogStore::BeginSegment(uint64_t seq, uint64_t consistent_tick,
   header.full_flush = full_flush ? 1 : 0;
   TP_RETURN_NOT_OK(writer_.WriteAt(append_offset_, &header, sizeof(header)));
   segment_crc_ = Crc32(&header, sizeof(header));
+  if (append_offset_ == 0) base_tick_ = consistent_tick;
   segment_open_ = true;
   segment_objects_declared_ = object_count;
   segment_objects_written_ = 0;
@@ -308,16 +402,19 @@ Status LogStore::CommitSegment() {
 
 void LogStore::AbortSegment() { segment_open_ = false; }
 
-Status LogStore::DropGenerationsBefore(uint64_t gen) {
-  // Generations advance one at a time; sweeping a small window behind the
-  // current one keeps the directory clean without a full listing.
-  for (uint64_t g = gen >= 8 ? gen - 8 : 0; g < gen; ++g) {
-    TP_RETURN_NOT_OK(RemoveFileIfExists(GenPath(g)));
-  }
-  return Status::OK();
+uint64_t LogStore::FullFlushBytes(const StateLayout& layout) {
+  return sizeof(SegmentHeader) +
+         layout.num_objects() * (sizeof(uint64_t) + layout.object_size) +
+         sizeof(uint32_t);
 }
 
-Status LogStore::DropAllGenerationsBefore(uint64_t gen) {
+Status LogStore::Close() {
+  segment_open_ = false;
+  gen_open_ = false;
+  return writer_.Close();
+}
+
+Status LogStore::DropGenerationsBefore(uint64_t gen) {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     uint64_t g = 0;
@@ -335,7 +432,7 @@ Status LogStore::DropAllGenerationsBefore(uint64_t gen) {
 }
 
 StatusOr<std::vector<SegmentInfo>> LogStore::ListSegments(uint64_t gen) {
-  return ScanGeneration(gen, nullptr);
+  return ScanGenerationFile(GenPath(gen), layout_, nullptr, UINT64_MAX);
 }
 
 StatusOr<ImageInfo> LogStore::Restore(StateTable* out,
@@ -346,104 +443,28 @@ StatusOr<ImageInfo> LogStore::Restore(StateTable* out,
   // corruption showed; the next candidate's full flush overwrites them.
   for (uint64_t gen = current_gen_ + 1; gen-- > 0;) {
     if (!FileExists(GenPath(gen))) continue;
-    auto applied_or = ScanGeneration(gen, out, max_consistent_tick);
-    if (!applied_or.ok() || applied_or->empty()) continue;
-    // Report the newest segment applied (within the bound).
-    const SegmentInfo& newest = applied_or->back();
-    ImageInfo info;
-    info.valid = true;
-    info.seq = newest.seq;
-    info.consistent_tick = newest.consistent_tick;
-    return info;
+    auto image_or = RestoreGenerationFile(GenPath(gen), out,
+                                          max_consistent_tick);
+    if (image_or.ok()) return image_or;
   }
   out->Clear();
   return Status::NotFound("no recoverable log generation in " + dir_);
 }
 
-StatusOr<std::vector<SegmentInfo>> LogStore::ScanGeneration(
-    uint64_t gen, StateTable* out, uint64_t max_consistent_tick) {
-  FileReader reader;
-  TP_RETURN_NOT_OK(reader.Open(GenPath(gen)));
-  TP_ASSIGN_OR_RETURN(const uint64_t file_size, reader.Size());
-  const uint64_t record_bytes = sizeof(uint64_t) + layout_.object_size;
-  // One bounded buffer serves every segment: whole records only, so the
-  // id of each record sits at a fixed stride inside a block.
-  const uint64_t block_records =
-      std::max<uint64_t>(1, kRestoreBlockBytes / record_bytes);
-  const uint64_t block_bytes = block_records * record_bytes;
-  std::unique_ptr<uint8_t[]> block(new uint8_t[block_bytes]);
-  std::vector<SegmentInfo> segments;
-  uint64_t offset = 0;
-  while (offset + sizeof(SegmentHeader) + sizeof(uint32_t) <= file_size) {
-    SegmentHeader header;
-    TP_RETURN_NOT_OK(reader.ReadAt(offset, &header, sizeof(header)));
-    if (header.magic != kSegmentMagic) break;
-    const uint64_t body_limit =
-        file_size - offset - sizeof(SegmentHeader) - sizeof(uint32_t);
-    if (header.object_count > body_limit / record_bytes) break;  // torn tail
-    const uint64_t records_bytes = header.object_count * record_bytes;
-    if (out != nullptr) {
-      if (segments.empty() &&
-          (header.full_flush == 0 ||
-           header.object_count != layout_.num_objects() ||
-           header.consistent_tick > max_consistent_tick)) {
-        // Incomplete or past-the-bound full flush: the generation cannot
-        // restore anything, and the header alone says so.
-        break;
-      }
-      // Segments are appended in tick order: the rest are past the bound.
-      if (header.consistent_tick > max_consistent_tick) break;
-    }
-    // Pass 1: checksum the whole segment before applying any of it, noting
-    // the largest object id on the way.
-    uint32_t crc = Crc32(&header, sizeof(header));
-    uint64_t max_id = 0;
-    for (uint64_t done = 0; done < records_bytes;) {
-      const uint64_t n = std::min(block_bytes, records_bytes - done);
-      TP_RETURN_NOT_OK(reader.ReadExact(block.get(), n));
-      crc = Crc32(block.get(), n, crc);
-      for (uint64_t r = 0; r < n; r += record_bytes) {
-        uint64_t id;
-        std::memcpy(&id, block.get() + r, sizeof(id));
-        max_id = std::max(max_id, id);
-      }
-      done += n;
-    }
-    uint32_t stored;
-    TP_RETURN_NOT_OK(reader.ReadExact(&stored, sizeof(stored)));
-    // Uncommitted or corrupt: like any torn tail, the scan ends here.
-    if (stored != crc) break;
-    // Only a checksummed segment's ids are trusted enough to reject on.
-    if (max_id >= layout_.num_objects()) {
-      return Status::Corruption("object id out of range in " + GenPath(gen));
-    }
-    // Pass 2: apply, straight from the block when the segment fit in one,
-    // else re-reading it block by block.
-    if (out != nullptr) {
-      const uint64_t records_offset = offset + sizeof(SegmentHeader);
-      for (uint64_t done = 0; done < records_bytes;) {
-        const uint64_t n = std::min(block_bytes, records_bytes - done);
-        if (records_bytes > block_bytes) {
-          TP_RETURN_NOT_OK(
-              reader.ReadAt(records_offset + done, block.get(), n));
-        }
-        for (uint64_t r = 0; r < n; r += record_bytes) {
-          uint64_t id;
-          std::memcpy(&id, block.get() + r, sizeof(id));
-          out->LoadObject(id, block.get() + r + sizeof(id));
-        }
-        done += n;
-      }
-    }
-    SegmentInfo info;
-    info.seq = header.seq;
-    info.consistent_tick = header.consistent_tick;
-    info.object_count = header.object_count;
-    info.full_flush = header.full_flush != 0;
-    segments.push_back(info);
-    offset += sizeof(SegmentHeader) + records_bytes + sizeof(uint32_t);
+StatusOr<ImageInfo> LogStore::RestoreGenerationFile(
+    const std::string& path, StateTable* out, uint64_t max_consistent_tick) {
+  TP_ASSIGN_OR_RETURN(
+      const std::vector<SegmentInfo> applied,
+      ScanGenerationFile(path, out->layout(), out, max_consistent_tick));
+  if (applied.empty()) {
+    return Status::NotFound("no full flush within the bound in " + path);
   }
-  return segments;
+  // Report the newest segment applied (within the bound).
+  ImageInfo info;
+  info.valid = true;
+  info.seq = applied.back().seq;
+  info.consistent_tick = applied.back().consistent_tick;
+  return info;
 }
 
 }  // namespace tickpoint

@@ -178,14 +178,11 @@ class LogStore {
   /// Abandons an open segment (crash injection); the torn bytes remain.
   void AbortSegment();
 
-  /// Deletes generation files with gen < `gen` in a small window behind it
-  /// (generations advance one at a time in normal operation).
+  /// Deletes every generation file with gen < `gen`, via a full directory
+  /// scan: a new full flush retires its predecessor, and the resume
+  /// bootstrap retires stale pre-crash generations wholesale, whatever
+  /// numbers they reached.
   Status DropGenerationsBefore(uint64_t gen);
-
-  /// Deletes EVERY generation file with gen < `gen`, via a full directory
-  /// scan. The resume bootstrap uses this to retire stale pre-crash
-  /// generations wholesale, whatever numbers they reached.
-  Status DropAllGenerationsBefore(uint64_t gen);
 
   /// First generation number strictly above every generation file found on
   /// disk when the store was opened (0 for a fresh directory): what a
@@ -205,26 +202,37 @@ class LogStore {
   StatusOr<ImageInfo> Restore(StateTable* out,
                               uint64_t max_consistent_tick = UINT64_MAX);
 
+  /// Restores one generation file at `path` (geometry from `out`) the way
+  /// Restore does, without a store: its full flush and every valid segment
+  /// with consistent tick <= the bound. NotFound when the file holds no
+  /// intact full flush within the bound.
+  static StatusOr<ImageInfo> RestoreGenerationFile(
+      const std::string& path, StateTable* out,
+      uint64_t max_consistent_tick = UINT64_MAX);
+
   /// Lists the valid segments of generation `gen` (tests/inspection).
   StatusOr<std::vector<SegmentInfo>> ListSegments(uint64_t gen);
 
+  /// Bytes a generation file holds through its full flush (its first
+  /// segment): what a retired generation is cut back to.
+  static uint64_t FullFlushBytes(const StateLayout& layout);
+
+  /// Closes the current generation file, writing out what the writer
+  /// still buffers. A crashed engine calls this before a successor opens
+  /// the directory, so no late write lands in a file the successor owns.
+  Status Close();
+
   uint64_t current_generation() const { return current_gen_; }
+  /// Bytes of the current generation through its last committed segment.
+  uint64_t current_generation_bytes() const { return append_offset_; }
+  /// Consistent tick of the current generation's full flush.
+  uint64_t current_generation_base_tick() const { return base_tick_; }
 
  private:
   LogStore(std::string dir, const StateLayout& layout, bool fsync_enabled);
   Status MakeDurable(FileWriter* writer);
 
   std::string GenPath(uint64_t gen) const;
-  /// Walks a generation file once, segment by segment, stopping at the
-  /// first torn or CRC-failing one. With `out` null, lists every valid
-  /// segment. Otherwise applies and lists the segments with consistent tick
-  /// <= `max_consistent_tick`, and lists nothing when the first segment is
-  /// not a complete full flush within that bound. Corruption when a
-  /// checksummed segment names an object id out of range.
-  StatusOr<std::vector<SegmentInfo>> ScanGeneration(
-      uint64_t gen, StateTable* out,
-      uint64_t max_consistent_tick = UINT64_MAX);
-
   std::string dir_;
   StateLayout layout_;
   bool fsync_enabled_;
@@ -233,6 +241,7 @@ class LogStore {
   bool gen_open_ = false;
   FileWriter writer_;
   uint64_t append_offset_ = 0;
+  uint64_t base_tick_ = 0;
   // Open-segment accounting.
   bool segment_open_ = false;
   uint32_t segment_crc_ = 0;

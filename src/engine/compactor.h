@@ -11,12 +11,14 @@
 //
 // Invariants every plan preserves:
 //   - the newest generation always survives;
-//   - the window base B is the oldest surviving generation's consistent
-//     tick: segments wholly below B are dropped, segments straddling B are
+//   - the window base B is the oldest surviving generation's base tick
+//     (its consistent tick, or its LogStore generation's full flush):
+//     segments wholly below B are dropped, segments straddling B are
 //     rewritten keeping only records with tick >= B (under a NEW segment
 //     id -- the old file stays valid until the index repoints);
 //   - segments at or above B are never touched, so every tick in the
-//     post-compaction window [B - 1, high] remains restorable.
+//     post-compaction window [C - 1, high] of the oldest survivor's tick C
+//     remains restorable.
 #ifndef TICKPOINT_ENGINE_COMPACTOR_H_
 #define TICKPOINT_ENGINE_COMPACTOR_H_
 
@@ -40,8 +42,8 @@ struct CompactionStats {
 
 /// What one compaction pass will do. Empty vectors = nothing to do.
 struct CompactionPlan {
-  /// Oldest surviving generation's consistent tick: the tick below which
-  /// no logical record is needed anymore.
+  /// Oldest surviving generation's base tick: the tick below which no
+  /// logical record is needed anymore.
   uint64_t window_base = 0;
   std::vector<uint64_t> drop_generations;   // generation seqs to delete
   std::vector<uint64_t> drop_segments;      // segment ids to delete
@@ -53,8 +55,8 @@ struct CompactionPlan {
   }
 };
 
-/// Plans a compaction of `index` under `policy`: keeps the newest
-/// `policy.max_generations` generations, additionally drops generations
+/// Plans a compaction of `index` under `policy`: keeps the generations of
+/// the newest `policy.max_generations` bases, additionally drops generations
 /// whose consistent tick trails the newest by more than
 /// `policy.max_retained_ticks` (when non-zero), and derives the segment
 /// drops/rewrites from the surviving window base. Pure -- no I/O.

@@ -26,6 +26,15 @@ double SecondsSince(Clock::time_point t0) {
 Status RemoveStaleCheckpointFiles(const std::string& dir) {
   std::error_code exists_ec;
   if (!std::filesystem::exists(dir, exists_ec)) return Status::OK();
+  // A previous incarnation's history describes a timeline this fresh
+  // incarnation abandons wholesale. It goes first: the shard directory
+  // then always holds a log generation newer than any history holds.
+  std::error_code history_ec;
+  std::filesystem::remove_all(paths::HistoryDir(dir), history_ec);
+  if (history_ec) {
+    return Status::IOError("remove " + paths::HistoryDir(dir) + ": " +
+                           history_ec.message());
+  }
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
@@ -39,14 +48,6 @@ Status RemoveStaleCheckpointFiles(const std::string& dir) {
   }
   if (ec) {
     return Status::IOError("list " + dir + ": " + ec.message());
-  }
-  // A previous incarnation's history describes a timeline this fresh
-  // incarnation abandons wholesale.
-  std::error_code history_ec;
-  std::filesystem::remove_all(paths::HistoryDir(dir), history_ec);
-  if (history_ec) {
-    return Status::IOError("remove " + paths::HistoryDir(dir) + ": " +
-                           history_ec.message());
   }
   return Status::OK();
 }
@@ -79,10 +80,11 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const EngineConfig& config) {
   std::unique_ptr<Engine> engine(new Engine(config));
   TP_RETURN_NOT_OK(engine->OpenStores());
   if (engine->history_ != nullptr) {
-    // Archive the zeroed birth state as generation 0 (consistent tick 0):
-    // the restorable window is well-defined from the first tick, and a
-    // RecoverToTick aimed before the first checkpoint has a base image.
-    TP_RETURN_NOT_OK(engine->history_->RecordGeneration(engine->state_, 0));
+    // Record the zeroed birth state as generation 0 (consistent tick 0),
+    // without a file: the restorable window is well-defined from the
+    // first tick, and a RecoverToTick aimed before the first checkpoint
+    // has a base.
+    TP_RETURN_NOT_OK(engine->history_->RecordZeroGeneration());
   }
   TP_RETURN_NOT_OK(engine->StartLogicalLogAndWriter());
   return engine;
@@ -168,21 +170,27 @@ Status Engine::WriteBootstrapCheckpoint() {
       TP_RETURN_NOT_OK(log_->AppendObject(o, state_.ObjectData(o)));
     }
     TP_RETURN_NOT_OK(log_->CommitSegment());
-    // Every stale generation dies now, not lazily: DropGenerationsBefore
-    // only sweeps a small window behind each new generation, which would
-    // leave high-numbered pre-crash generations shadowing this run's until
-    // its counter caught up.
-    TP_RETURN_NOT_OK(log_->DropAllGenerationsBefore(gen));
+    // Every stale generation leaves the shard directory now (into history
+    // when a record references it), whatever number it reached.
+    TP_RETURN_NOT_OK(RetireLogGenerationsBefore(gen));
     next_log_gen_ = gen + 1;
     log_started_ = true;
   }
-  if (history_ != nullptr) {
-    // The resumed state is durable: record it as this incarnation's base
-    // generation (RecordGeneration skips it when the previous timeline
-    // already holds a generation at this tick).
-    TP_RETURN_NOT_OK(history_->RecordGeneration(state_, tick_));
+  // The resumed state is durable: record it as this incarnation's base
+  // generation (skipped when the previous timeline already holds a
+  // generation at this tick).
+  if (history_ == nullptr) return Status::OK();
+  if (traits_.disk == DiskOrganization::kDoubleBackup) {
+    return history_->RecordGeneration(state_, tick_);
   }
-  return Status::OK();
+  return history_->RecordLogGeneration(
+      log_->current_generation(), log_->current_generation_base_tick(),
+      tick_, log_->current_generation_bytes());
+}
+
+Status Engine::RetireLogGenerationsBefore(uint64_t gen) {
+  return history_ != nullptr ? history_->RetireLogGenerations(gen)
+                             : log_->DropGenerationsBefore(gen);
 }
 
 Status Engine::OpenStores() {
@@ -566,7 +574,7 @@ Status Engine::ExecuteJob(const Job& job) {
   }
   TP_RETURN_NOT_OK(log_->CommitSegment());
   if (job.new_generation) {
-    TP_RETURN_NOT_OK(log_->DropGenerationsBefore(job.log_gen));
+    TP_RETURN_NOT_OK(RetireLogGenerationsBefore(job.log_gen));
   }
   return ArchiveCompletedCheckpoint(job);
 }
@@ -595,21 +603,21 @@ Status Engine::WriteCheckpointObjects(const Job& job, IoBackend* backend,
 
 Status Engine::ArchiveCompletedCheckpoint(const Job& job) {
   if (history_ == nullptr) return Status::OK();
-  // Read the image back from the store rather than snapshotting live
+  if (traits_.disk == DiskOrganization::kLog) {
+    // The committed segment is the generation: history references the
+    // LogStore's own file, scanned through this consistent tick.
+    return history_->RecordLogGeneration(
+        job.log_gen, log_->current_generation_base_tick(),
+        job.consistent_ticks, log_->current_generation_bytes());
+  }
+  // The double-backup images are overwritten in place, so history keeps a
+  // copy. It is read back from the store rather than snapshotted from live
   // state: the durable checkpoint is exactly the tick-consistent bytes the
-  // generation must mirror, the mutator may already be ticks ahead, and
-  // this works identically under both disk organizations and IO backends
-  // (the commit point above guarantees the bytes are on disk).
+  // generation must mirror, and the mutator may already be ticks ahead.
   if (history_scratch_ == nullptr) {
     history_scratch_ = std::make_unique<StateTable>(config_.layout);
   }
-  if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    TP_RETURN_NOT_OK(backup_->ReadAll(job.backup_index,
-                                      history_scratch_.get()));
-  } else {
-    TP_RETURN_NOT_OK(log_->Restore(history_scratch_.get(),
-                                   job.consistent_ticks).status());
-  }
+  TP_RETURN_NOT_OK(backup_->ReadAll(job.backup_index, history_scratch_.get()));
   return history_->RecordGeneration(*history_scratch_, job.consistent_ticks);
 }
 
@@ -669,11 +677,17 @@ Status Engine::SimulateCrashImpl(bool lose_unsynced_log) {
   }
   cv_.notify_one();
   if (writer_.joinable()) writer_.join();
+  // The dead writer's generation file is closed now: the successor that
+  // resumes this directory may retire it, and a buffered write flushed by
+  // this engine's destructor would then land in the retired file.
+  const Status closed = log_ != nullptr ? log_->Close() : Status::OK();
   // The logical log survives to the last durable group commit; in this
   // harness a plain SimulateCrash syncs the tail on close, the hard
   // variant drops everything after the last group commit instead.
-  if (lose_unsynced_log) return logical_->CloseLosingUnsyncedTail();
-  return logical_->Close();
+  const Status logical = lose_unsynced_log
+                             ? logical_->CloseLosingUnsyncedTail()
+                             : logical_->Close();
+  return closed.ok() ? logical : closed;
 }
 
 }  // namespace tickpoint

@@ -298,11 +298,15 @@ class Engine {
   /// `emit`; returns once every emitted run's write has completed.
   Status WriteCheckpointObjects(const Job& job, IoBackend* backend,
                                 CheckpointWriteSession::EmitRun emit);
-  /// Retention only: reads the just-committed durable image back out of
-  /// the store and records it as a history generation. Runs on the writer
-  /// thread right after the checkpoint's commit point, so it is uniform
-  /// across disk organizations and IO backends.
+  /// Retention only: records the just-committed checkpoint as a history
+  /// generation. A log checkpoint is referenced where the LogStore wrote
+  /// it; a double-backup image is read back out of the store and copied.
+  /// Runs on the writer thread right after the checkpoint's commit point.
   Status ArchiveCompletedCheckpoint(const Job& job);
+  /// Log organization: retires the generations below `gen` once `gen`'s
+  /// full flush is durable (into history when retention references them,
+  /// deleted otherwise).
+  Status RetireLogGenerationsBefore(uint64_t gen);
   /// Picks the bytes to persist for `object` under the copy-on-update
   /// protocol: the saved pre-image if one exists, else the live object
   /// (copied to `staging` under the object lock).
@@ -321,8 +325,8 @@ class Engine {
   /// Non-null iff config.retention.enabled. Touched by the open path
   /// (before the writer starts) and by the writer thread afterwards.
   std::unique_ptr<ShardHistory> history_;
-  /// Writer-thread scratch for reading committed images back out of the
-  /// store during archival; allocated lazily on first use.
+  /// Writer-thread scratch for reading committed double-backup images
+  /// back out of the store during archival; allocated lazily on first use.
   std::unique_ptr<StateTable> history_scratch_;
 
   AtomicBitMap dirty_[2];     // per-backup dirty bits (log family uses [0])

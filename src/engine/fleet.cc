@@ -103,7 +103,7 @@ Status Fleet::EnableAutoRebalance(const RebalancePolicy& policy) {
         "invalid RebalancePolicy (imbalance_ratio must exceed 1, "
         "hysteresis_ticks must be positive, ewma_alpha in (0, 1])");
   }
-  rebalancer_ = std::make_unique<Rebalancer>(policy);
+  rebalancer_ = std::make_unique<Rebalancer>(policy, *engine_);
   return Status::OK();
 }
 

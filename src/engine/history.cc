@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <utility>
 
+#include "engine/checkpoint_store.h"
 #include "engine/compactor.h"
 #include "engine/logical_log.h"
 #include "engine/paths.h"
@@ -14,7 +16,7 @@ namespace tickpoint {
 namespace {
 
 constexpr uint64_t kIndexMagic = 0x5849545349485054ULL;  // "TPHISTIX"
-constexpr uint32_t kIndexVersion = 1;
+constexpr uint32_t kIndexVersion = 2;
 constexpr uint64_t kGenerationMagic = 0x3147545349485054ULL;  // "TPHISTG1"
 
 // index.bin layout: header, generation records, segment records, chained
@@ -35,8 +37,12 @@ struct GenerationRecord {
   uint64_t seq = 0;
   uint64_t consistent_tick = 0;
   uint64_t bytes = 0;
+  uint64_t log_gen = 0;
+  uint64_t log_base_tick = 0;
+  uint32_t kind = 0;
+  uint32_t reserved = 0;
 };
-static_assert(sizeof(GenerationRecord) == 24);
+static_assert(sizeof(GenerationRecord) == 48);
 
 struct SegmentRecord {
   uint64_t id = 0;
@@ -70,9 +76,86 @@ std::string SegmentPath(const std::string& shard_dir, uint64_t id) {
          paths::HistorySegmentFileName(id);
 }
 
+std::string RetiredLogPath(const std::string& shard_dir, uint64_t log_gen) {
+  return paths::HistoryDir(shard_dir) + "/" +
+         paths::LogGenerationFileName(log_gen);
+}
+
+/// Where LogStore generation `log_gen` lives: history/ once retired, the
+/// shard directory while it is still the live generation.
+std::string LocateLogGeneration(const std::string& shard_dir,
+                                uint64_t log_gen) {
+  const std::string retired = RetiredLogPath(shard_dir, log_gen);
+  if (FileExists(retired)) return retired;
+  return shard_dir + "/" + paths::LogGenerationFileName(log_gen);
+}
+
+using Kind = HistoryIndex::Generation::Kind;
+
 Status InjectedCrash() { return Status::Internal("crash injected"); }
 
+/// Replays the history's segments, then the live logical.log, onto `out`
+/// from tick `from` up to (not including) tick `to`, and returns the tick
+/// reached: `to`, or less where the records stop or leave a gap.
+StatusOr<uint64_t> ReplayLogicalLog(const std::string& shard_dir,
+                                    const HistoryIndex& index, uint64_t from,
+                                    uint64_t to, StateTable* out) {
+  std::vector<std::string> sources;
+  for (const auto& segment : index.segments) {
+    sources.push_back(SegmentPath(shard_dir, segment.id));
+  }
+  sources.push_back(paths::LogicalLogPath(shard_dir));
+  uint64_t reached = from;
+  for (const std::string& source : sources) {
+    if (reached >= to) break;
+    if (!FileExists(source)) continue;
+    TP_ASSIGN_OR_RETURN(const LogicalLog::ReplayStats stats,
+                        LogicalLog::Replay(source, reached, to - 1, out));
+    if (stats.records_applied == 0) continue;
+    if (stats.last_tick + 1 - stats.records_applied != reached) break;
+    reached = stats.last_tick + 1;
+  }
+  return reached;
+}
+
 }  // namespace
+
+uint64_t HistoryIndex::TotalBytes() const {
+  uint64_t total = 0;
+  std::map<uint64_t, uint64_t> log_files;  // log_gen -> longest prefix
+  for (const Generation& g : generations) {
+    if (g.kind == Generation::Kind::kLog) {
+      uint64_t& bytes = log_files[g.log_gen];
+      bytes = std::max(bytes, g.bytes);
+    } else {
+      total += g.bytes;
+    }
+  }
+  for (const auto& [log_gen, bytes] : log_files) total += bytes;
+  for (const auto& s : segments) total += s.bytes;
+  return total;
+}
+
+bool HistoryIndex::SharesBase(const Generation& a, const Generation& b) {
+  return a.kind == Generation::Kind::kLog &&
+         b.kind == Generation::Kind::kLog && a.log_gen == b.log_gen;
+}
+
+uint64_t HistoryIndex::Bases() const {
+  uint64_t bases = 0;
+  for (size_t i = 0; i < generations.size(); ++i) {
+    if (i == 0 || !SharesBase(generations[i - 1], generations[i])) ++bases;
+  }
+  return bases;
+}
+
+bool HistoryIndex::ReferencesLog(uint64_t log_gen) const {
+  return std::any_of(generations.begin(), generations.end(),
+                     [log_gen](const Generation& g) {
+                       return g.kind == Generation::Kind::kLog &&
+                              g.log_gen == log_gen;
+                     });
+}
 
 StatusOr<HistoryIndex> ShardHistory::ReadIndex(const std::string& shard_dir) {
   const std::string path = paths::HistoryIndexPath(shard_dir);
@@ -118,8 +201,14 @@ StatusOr<HistoryIndex> ShardHistory::ReadIndex(const std::string& shard_dir) {
     GenerationRecord record;
     std::memcpy(&record, cursor, sizeof(record));
     cursor += sizeof(record);
-    index.generations.push_back(
-        {record.seq, record.consistent_tick, record.bytes});
+    if (record.kind > static_cast<uint32_t>(Kind::kZero)) {
+      return Status::Corruption("history index " + path +
+                                " has a generation of unknown kind " +
+                                std::to_string(record.kind));
+    }
+    index.generations.push_back({record.seq, record.consistent_tick,
+                                 record.bytes, static_cast<Kind>(record.kind),
+                                 record.log_gen, record.log_base_tick});
   }
   index.segments.reserve(header.num_segments);
   for (uint32_t i = 0; i < header.num_segments; ++i) {
@@ -144,7 +233,13 @@ Status ShardHistory::WriteIndex() {
   header.compactions_run = index_.compactions_run;
   raw.append(reinterpret_cast<const char*>(&header), sizeof(header));
   for (const auto& g : index_.generations) {
-    GenerationRecord record{g.seq, g.consistent_tick, g.bytes};
+    GenerationRecord record{g.seq,
+                            g.consistent_tick,
+                            g.bytes,
+                            g.log_gen,
+                            g.log_base_tick,
+                            static_cast<uint32_t>(g.kind),
+                            0};
     raw.append(reinterpret_cast<const char*>(&record), sizeof(record));
   }
   for (const auto& s : index_.segments) {
@@ -187,8 +282,11 @@ Status ShardHistory::SweepOrphans() {
     bool doomed = false;
     if (paths::ParseHistoryGenerationFileName(name, &id)) {
       doomed = std::none_of(index_.generations.begin(),
-                            index_.generations.end(),
-                            [id](const auto& g) { return g.seq == id; });
+                            index_.generations.end(), [id](const auto& g) {
+                              return g.kind == Kind::kImage && g.seq == id;
+                            });
+    } else if (paths::ParseLogGenerationFileName(name, &id)) {
+      doomed = !index_.ReferencesLog(id);
     } else if (paths::ParseHistorySegmentFileName(name, &id)) {
       doomed = std::none_of(index_.segments.begin(), index_.segments.end(),
                             [id](const auto& s) { return s.id == id; });
@@ -234,7 +332,56 @@ StatusOr<std::unique_ptr<ShardHistory>> ShardHistory::Open(
 
 StatusOr<uint64_t> ShardHistory::ReadGenerationImage(
     const std::string& shard_dir, uint64_t seq, StateTable* out) {
-  const std::string path = GenerationPath(shard_dir, seq);
+  TP_ASSIGN_OR_RETURN(const HistoryIndex index, ReadIndex(shard_dir));
+  for (const auto& generation : index.generations) {
+    if (generation.seq != seq) continue;
+    const uint64_t c = generation.consistent_tick;
+    TP_ASSIGN_OR_RETURN(const uint64_t loaded,
+                        LoadGeneration(shard_dir, generation, out));
+    TP_ASSIGN_OR_RETURN(const uint64_t reached,
+                        ReplayLogicalLog(shard_dir, index, loaded, c, out));
+    if (reached != c) {
+      return Status::Corruption(
+          "the logical log of " + shard_dir + " stops at tick " +
+          std::to_string(reached) + ", short of history generation " +
+          std::to_string(seq) + "'s tick " + std::to_string(c));
+    }
+    return c;
+  }
+  return Status::NotFound("history of " + shard_dir + " has no generation " +
+                          std::to_string(seq));
+}
+
+StatusOr<uint64_t> ShardHistory::LoadGeneration(
+    const std::string& shard_dir, const HistoryIndex::Generation& generation,
+    StateTable* out) {
+  const uint64_t c = generation.consistent_tick;
+  if (generation.kind == Kind::kZero) {
+    out->Clear();
+    return c;
+  }
+  if (generation.kind == Kind::kLog) {
+    const std::string path = LocateLogGeneration(shard_dir, generation.log_gen);
+    if (!FileExists(path)) {
+      return Status::Corruption("history generation " +
+                                std::to_string(generation.seq) +
+                                " references the missing " + path);
+    }
+    auto image_or = LogStore::RestoreGenerationFile(path, out, c);
+    if (!image_or.ok() && image_or.status().code() != StatusCode::kNotFound &&
+        image_or.status().code() != StatusCode::kCorruption) {
+      return image_or.status();
+    }
+    if (!image_or.ok() ||
+        image_or->consistent_tick < generation.log_base_tick) {
+      return Status::Corruption(
+          path + " does not reach history generation " +
+          std::to_string(generation.seq) + "'s base tick " +
+          std::to_string(generation.log_base_tick));
+    }
+    return image_or->consistent_tick;
+  }
+  const std::string path = GenerationPath(shard_dir, generation.seq);
   FileReader reader;
   TP_RETURN_NOT_OK(reader.Open(path));
   GenerationHeader header;
@@ -245,9 +392,10 @@ StatusOr<uint64_t> ShardHistory::ReadGenerationImage(
     return Status::Corruption("history generation " + path +
                               " has a torn header");
   }
-  if (header.seq != seq) {
+  if (header.seq != generation.seq || header.consistent_tick != c) {
     return Status::Corruption("history generation " + path + " records seq " +
-                              std::to_string(header.seq));
+                              std::to_string(header.seq) + " at tick " +
+                              std::to_string(header.consistent_tick));
   }
   if (header.num_objects != out->layout().num_objects() ||
       header.object_size != out->layout().object_size) {
@@ -261,7 +409,7 @@ StatusOr<uint64_t> ShardHistory::ReadGenerationImage(
     return Status::Corruption("history generation " + path +
                               " fails its state CRC");
   }
-  return header.consistent_tick;
+  return c;
 }
 
 StatusOr<HistoryWindow> ShardHistory::ComputeWindow(
@@ -283,7 +431,8 @@ StatusOr<HistoryWindow> ShardHistory::ComputeWindow(
   // commit that lost the tail can shrink the window but never lie.
   for (size_t base = 0; base < gens.size(); ++base) {
     const uint64_t consistent = gens[base].consistent_tick;
-    uint64_t expected = consistent;
+    // Records must bridge what the payload alone does not restore.
+    uint64_t expected = gens[base].base_tick();
     for (const auto& seg : index.segments) {
       if (seg.last_tick + 1 <= expected) continue;  // already covered
       if (seg.first_tick > expected) break;         // gap
@@ -305,14 +454,26 @@ StatusOr<HistoryWindow> ShardHistory::ComputeWindow(
   return window;
 }
 
+Status ShardHistory::Append(HistoryIndex::Generation generation) {
+  if (!index_.generations.empty() &&
+      generation.consistent_tick <= index_.generations.back().consistent_tick) {
+    // Re-recording an already-archived point (a crash-retried resume
+    // bootstrap) is a no-op; ticks only move forward inside the index.
+    return Status::OK();
+  }
+  generation.seq = index_.next_generation_seq;
+  index_.generations.push_back(generation);
+  index_.next_generation_seq = generation.seq + 1;
+  TP_RETURN_NOT_OK(WriteIndex());
+  return Compact(nullptr);
+}
+
 Status ShardHistory::RecordGeneration(const StateTable& state,
                                       uint64_t consistent_tick) {
   TP_CHECK(state.layout().num_objects() == layout_.num_objects());
   if (!index_.generations.empty() &&
       consistent_tick <= index_.generations.back().consistent_tick) {
-    // Re-recording an already-archived point (a crash-retried resume
-    // bootstrap) is a no-op; ticks only move forward inside the index.
-    return Status::OK();
+    return Status::OK();  // see Append
   }
   const uint64_t seq = index_.next_generation_seq;
   const std::string path = GenerationPath(shard_dir_, seq);
@@ -335,10 +496,80 @@ Status ShardHistory::RecordGeneration(const StateTable& state,
   if (TakeCrashPoint(HistoryCrashPoint::kAfterGenerationFile)) {
     return InjectedCrash();
   }
-  index_.generations.push_back({seq, consistent_tick, bytes});
-  index_.next_generation_seq = seq + 1;
-  TP_RETURN_NOT_OK(WriteIndex());
-  return Compact(nullptr);
+  return Append({seq, consistent_tick, bytes, Kind::kImage, 0, 0});
+}
+
+Status ShardHistory::RecordLogGeneration(uint64_t log_gen, uint64_t base_tick,
+                                         uint64_t consistent_tick,
+                                         uint64_t bytes) {
+  TP_CHECK(base_tick <= consistent_tick);
+  return Append({0, consistent_tick, bytes, Kind::kLog, log_gen, base_tick});
+}
+
+Status ShardHistory::RecordZeroGeneration() {
+  return Append({0, 0, 0, Kind::kZero, 0, 0});
+}
+
+Status ShardHistory::RetireLogGenerations(uint64_t log_gen) {
+  bool renamed = false;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(shard_dir_, ec)) {
+    uint64_t gen = 0;
+    if (!paths::ParseLogGenerationFileName(entry.path().filename().string(),
+                                           &gen) ||
+        gen >= log_gen) {
+      continue;
+    }
+    if (!index_.ReferencesLog(gen)) {
+      TP_RETURN_NOT_OK(RemoveFileIfExists(entry.path().string()));
+      continue;
+    }
+    // The index already names this generation; a reader finds it in
+    // either directory, so the rename needs no index change.
+    const std::string retired = RetiredLogPath(shard_dir_, gen);
+    std::error_code rename_ec;
+    std::filesystem::rename(entry.path(), retired, rename_ec);
+    if (rename_ec) {
+      return Status::IOError("rename " + entry.path().string() + ": " +
+                             rename_ec.message());
+    }
+    renamed = true;
+    if (TakeCrashPoint(HistoryCrashPoint::kAfterRetireRename)) {
+      return InjectedCrash();
+    }
+  }
+  if (ec) {
+    return Status::IOError("list " + shard_dir_ + ": " + ec.message());
+  }
+  if (fsync_ && renamed) {
+    TP_RETURN_NOT_OK(SyncDirectory(paths::HistoryDir(shard_dir_)));
+    TP_RETURN_NOT_OK(SyncDirectory(shard_dir_));
+  }
+
+  // Cut every retired generation back to its full flush: its increments
+  // (and any torn tail) repeat what the logical log holds from the base
+  // tick on. Readers scan as far as the file goes, so a crash before or
+  // after the cut leaves every record loadable; the pass re-runs on retry.
+  const uint64_t full_flush = LogStore::FullFlushBytes(layout_);
+  bool cut = false;
+  for (auto& g : index_.generations) {
+    if (g.kind != Kind::kLog || g.log_gen >= log_gen) continue;
+    const std::string path = RetiredLogPath(shard_dir_, g.log_gen);
+    std::error_code size_ec;
+    const uint64_t size = std::filesystem::file_size(path, size_ec);
+    if (!size_ec && size > full_flush) {
+      std::filesystem::resize_file(path, full_flush, size_ec);
+      if (size_ec) {
+        return Status::IOError("truncate " + path + ": " + size_ec.message());
+      }
+    }
+    if (g.bytes > full_flush) {
+      g.bytes = full_flush;
+      cut = true;
+    }
+  }
+  return cut ? WriteIndex() : Status::OK();
 }
 
 Status ShardHistory::ArchiveLiveLog(const std::string& live_log_path,
@@ -388,7 +619,9 @@ Status ShardHistory::TruncateAbove(uint64_t first_tick) {
   next.generations.clear();
   for (const auto& g : index_.generations) {
     if (g.consistent_tick > first_tick) {
-      doomed.push_back(GenerationPath(shard_dir_, g.seq));
+      if (g.kind == Kind::kImage) {
+        doomed.push_back(GenerationPath(shard_dir_, g.seq));
+      }
       changed = true;
     } else {
       next.generations.push_back(g);
@@ -433,6 +666,20 @@ Status ShardHistory::TruncateAbove(uint64_t first_tick) {
   }
   if (!changed) return Status::OK();
 
+  return CommitAndDelete(std::move(next), std::move(doomed));
+}
+
+Status ShardHistory::CommitAndDelete(HistoryIndex next,
+                                     std::vector<std::string> doomed) {
+  // A history log generation dies with its last record; a live one in the
+  // shard directory stays with the LogStore until RetireLogGenerations.
+  for (const auto& g : index_.generations) {
+    if (g.kind == Kind::kLog && !next.ReferencesLog(g.log_gen)) {
+      doomed.push_back(RetiredLogPath(shard_dir_, g.log_gen));
+    }
+  }
+  // Index first, deletes second: a crash in between leaves orphans (swept
+  // on the next writable open), never dangling references.
   index_ = std::move(next);
   TP_RETURN_NOT_OK(WriteIndex());
   if (TakeCrashPoint(HistoryCrashPoint::kBeforeCompactionDeletes)) {
@@ -489,9 +736,13 @@ Status ShardHistory::Compact(CompactionStats* stats) {
     }
   }
   for (uint64_t seq : plan.drop_generations) {
-    doomed.push_back(GenerationPath(shard_dir_, seq));
-    std::erase_if(next.generations,
-                  [seq](const auto& g) { return g.seq == seq; });
+    std::erase_if(next.generations, [&](const auto& g) {
+      if (g.seq != seq) return false;
+      if (g.kind == Kind::kImage) {
+        doomed.push_back(GenerationPath(shard_dir_, seq));
+      }
+      return true;
+    });
   }
   for (uint64_t id : plan.drop_segments) {
     doomed.push_back(SegmentPath(shard_dir_, id));
@@ -499,17 +750,7 @@ Status ShardHistory::Compact(CompactionStats* stats) {
                   [id](const auto& s) { return s.id == id; });
   }
   ++next.compactions_run;
-
-  // Index first, deletes second: a crash in between leaves orphans (swept
-  // on the next writable open), never dangling references.
-  index_ = std::move(next);
-  TP_RETURN_NOT_OK(WriteIndex());
-  if (TakeCrashPoint(HistoryCrashPoint::kBeforeCompactionDeletes)) {
-    return InjectedCrash();
-  }
-  for (const std::string& path : doomed) {
-    TP_RETURN_NOT_OK(RemoveFileIfExists(path));
-  }
+  TP_RETURN_NOT_OK(CommitAndDelete(std::move(next), std::move(doomed)));
   if (stats != nullptr) {
     stats->generations_dropped = plan.drop_generations.size();
     stats->segments_dropped = plan.drop_segments.size();

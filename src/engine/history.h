@@ -1,26 +1,56 @@
 // Point-in-time recovery history (ROADMAP item 4, WiredTiger's staged
 // checkpoint + history store shape): under a RetentionPolicy, checkpoints
-// become *generations* instead of being retired. Each shard keeps, inside
-// `<shard>/history/`:
+// become *generations* instead of being retired. A generation is one of
+// three kinds:
 //
+//   log    "log-G.img scanned through C": a log-organization checkpoint is
+//          its LogStore generation file read up to consistent tick C. No
+//          copy is written; the history references the store's own file.
+//          Once a newer full flush retires G, the file is cut back to its
+//          own full flush (base tick B): a restore loads that and replays
+//          the logical log over [B, C), which the history keeps;
+//   image  a double-backup checkpoint, copied to gen-<seq>.img (the
+//          in-place backup images are overwritten, so they cannot be
+//          referenced);
+//   zero   the birth state at tick 0, recorded without a file.
+//
+// Each shard keeps, inside `<shard>/history/`:
+//
+//   log-<G>.img    the full flush of a superseded LogStore generation
+//                  that some log record still references, renamed here
+//                  from the shard directory when a newer full flush
+//                  retired it and cut back to that first segment (a record
+//                  whose generation is still live references the shard
+//                  directory's file: readers look here first, then there);
 //   gen-<seq>.img  a self-describing full-state image (own CRC'd header
 //                  recording seq / consistent tick / geometry, plus a CRC
-//                  over the payload), written right after the checkpoint it
-//                  mirrors became durable;
+//                  over the payload), written right after the double-backup
+//                  checkpoint it mirrors became durable;
 //   seg-<id>.log   an archived slice of a previous incarnation's logical
 //                  log, byte-identical to the live logical.log record
 //                  format (LogicalLog::Replay works on it unchanged);
-//   index.bin      the CRC'd HistoryIndex mapping tick ranges to
-//                  generations and segments.
+//   index.bin      the CRC'd HistoryIndex (version 2) mapping tick ranges
+//                  to generations and segments.
+//
+// Retention counts bases, not records: a base is what a restore loads
+// before it replays the logical log. An image or zero generation is its
+// own base; the records of one LogStore generation share its full flush.
+// Each retained log generation costs one full flush whatever number of
+// checkpoints it holds, so the disk a window needs does not depend on how
+// the checkpoints fell between full flushes.
 //
 // The index is the source of truth. Every mutation follows the same
 // crash-atomic protocol: new payload files are written and fsynced FIRST,
 // then the index is rewritten via tmp + rename + directory fsync. A crash
 // at any step leaves an intact index (old or new); files the index does
 // not reference are orphans from the interrupted step, swept on the next
-// writable open and ignored by read-only opens. A CRC-torn index can
-// therefore only mean real partial-write corruption -- readers surface
-// Corruption and point-in-time recovery falls back to latest recovery.
+// writable open and ignored by read-only opens. A generation file is
+// deleted once no record references it. Superseded LogStore generations
+// never stay in the shard directory, where LogStore::Restore could pick a
+// stale one after a resume: they move here or are deleted. A CRC-torn
+// index can therefore only mean real partial-write corruption -- readers
+// surface Corruption and point-in-time recovery falls back to latest
+// recovery.
 //
 // Tick convention (identical to the checkpoint stores): a generation's
 // `consistent_tick` C means the image contains the effects of ticks
@@ -47,7 +77,9 @@ struct CompactionStats;
 struct RetentionPolicy {
   /// Off (the default): checkpoints retire as before, no history dir.
   bool enabled = false;
-  /// Keep at most this many generations (the newest always survives).
+  /// Keep the generations of at most this many bases (the newest always
+  /// survives): each image or zero generation is one base, and all records
+  /// of one LogStore generation share one.
   uint64_t max_generations = 4;
   /// Additionally drop generations whose consistent tick trails the newest
   /// by more than this many ticks. 0 = bounded by max_generations only.
@@ -60,10 +92,24 @@ struct RetentionPolicy {
 /// In-memory form of index.bin.
 struct HistoryIndex {
   struct Generation {
+    enum class Kind : uint32_t { kImage = 0, kLog = 1, kZero = 2 };
     uint64_t seq = 0;
     uint64_t consistent_tick = 0;  // effects of ticks [0, C) included
-    uint64_t bytes = 0;            // on-disk size of gen-<seq>.img
+    /// kImage: size of gen-<seq>.img; kLog: bytes of log-<log_gen>.img
+    /// through C while G is live, through its full flush once retired;
+    /// kZero: 0.
+    uint64_t bytes = 0;
+    Kind kind = Kind::kImage;
+    uint64_t log_gen = 0;  // kLog only: the LogStore generation G
+    /// kLog only: the consistent tick of G's full flush.
+    uint64_t log_base_tick = 0;
     bool operator==(const Generation&) const = default;
+
+    /// Tick the payload alone restores: G's full flush for kLog (the
+    /// logical log bridges [base_tick, C)), C for the other kinds.
+    uint64_t base_tick() const {
+      return kind == Kind::kLog ? log_base_tick : consistent_tick;
+    }
   };
   struct Segment {
     uint64_t id = 0;
@@ -79,13 +125,21 @@ struct HistoryIndex {
   std::vector<Generation> generations;  // ascending seq (and tick)
   std::vector<Segment> segments;        // ascending first_tick
 
-  /// Total referenced payload bytes (generations + segments).
-  uint64_t TotalBytes() const {
-    uint64_t total = 0;
-    for (const auto& g : generations) total += g.bytes;
-    for (const auto& s : segments) total += s.bytes;
-    return total;
-  }
+  /// Total referenced payload bytes (generations + segments). Log records
+  /// share their generation file: each file counts once, at the longest
+  /// prefix any record references.
+  uint64_t TotalBytes() const;
+
+  /// True if some kLog record references LogStore generation `log_gen`.
+  bool ReferencesLog(uint64_t log_gen) const;
+
+  /// True if `a` and `b` restore from the same base (records of one
+  /// LogStore generation).
+  static bool SharesBase(const Generation& a, const Generation& b);
+
+  /// Number of distinct bases the generations restore from: what
+  /// RetentionPolicy::max_generations bounds.
+  uint64_t Bases() const;
 };
 
 /// The restorable tick window advertised by one shard's history: every
@@ -103,6 +157,10 @@ enum class HistoryCrashPoint {
   kNone = 0,
   /// Archival: generation image durable, index not yet rewritten.
   kAfterGenerationFile,
+  /// Retirement: one referenced LogStore generation renamed into history/,
+  /// not yet cut back to its full flush; the rest of the retirement, its
+  /// directory fsyncs and its index commit not done.
+  kAfterRetireRename,
   /// Archival: segment file durable, index not yet rewritten.
   kAfterSegmentFile,
   /// Index rewrite: tmp file durable, rename not done.
@@ -136,11 +194,24 @@ class ShardHistory {
   /// directory or index; Corruption when the index is torn.
   static StatusOr<HistoryIndex> ReadIndex(const std::string& shard_dir);
 
-  /// Loads generation `seq`'s image into `out` (layout-checked,
-  /// payload-CRC-verified) and returns its consistent tick.
+  /// Loads generation `seq` of the shard's index into `out` and returns
+  /// its consistent tick, whatever its kind: a log generation whose file
+  /// stops short of C is brought to C by replaying the history's segments
+  /// and the live logical.log. NotFound when the index has no such
+  /// generation, Corruption when C cannot be reached.
   static StatusOr<uint64_t> ReadGenerationImage(const std::string& shard_dir,
                                                 uint64_t seq,
                                                 StateTable* out);
+
+  /// Loads `generation`'s payload into `out` and returns the tick it
+  /// reached: an image is layout-checked and payload-CRC-verified and
+  /// reaches C, a zero generation clears `out` and reaches 0, a log
+  /// generation is scanned as far as its file goes up to C and reaches a
+  /// tick in [base_tick(), C]. The caller replays the logical log from the
+  /// returned tick. Corruption when the payload reaches no tick in range.
+  static StatusOr<uint64_t> LoadGeneration(
+      const std::string& shard_dir, const HistoryIndex::Generation& generation,
+      StateTable* out);
 
   /// The shard's restorable window: generations in `index` plus archived
   /// segments plus the shard's live logical.log. Chooses the oldest
@@ -151,10 +222,29 @@ class ShardHistory {
 
   // ---- Writer side. ----
 
-  /// Archives the current full state as a new generation with consistent
-  /// tick C, then compacts under the policy (one call per completed
-  /// checkpoint keeps disk self-bounded).
+  /// Archives the current full state as a new image generation with
+  /// consistent tick C, then compacts under the policy (one call per
+  /// completed checkpoint keeps disk self-bounded). Recording a tick at or
+  /// below the newest generation's is a no-op (a crash-retried resume),
+  /// for every kind.
   Status RecordGeneration(const StateTable& state, uint64_t consistent_tick);
+
+  /// Records "LogStore generation `log_gen` scanned through C" as a new
+  /// generation whose file holds `bytes` through C and whose full flush is
+  /// consistent at `base_tick`, then compacts. Writes no payload: the
+  /// committed segment is the generation.
+  Status RecordLogGeneration(uint64_t log_gen, uint64_t base_tick,
+                             uint64_t consistent_tick, uint64_t bytes);
+
+  /// Records the zeroed birth state at tick 0, without a file.
+  Status RecordZeroGeneration();
+
+  /// Retires every LogStore generation below `log_gen` in the shard
+  /// directory: a referenced one is renamed into history/ and cut back to
+  /// its full flush (its records then replay the logical log from there),
+  /// the rest are deleted. Called once generation `log_gen`'s full flush
+  /// is durable.
+  Status RetireLogGenerations(uint64_t log_gen);
 
   /// Archives the intact records of `live_log_path` with tick in
   /// (last archived tick, up_to_tick] as a new segment. Called by
@@ -192,8 +282,14 @@ class ShardHistory {
         policy_(policy),
         fsync_(fsync) {}
 
+  /// Appends `generation` under the next seq, commits the index and
+  /// compacts; a no-op when its tick does not advance the history.
+  Status Append(HistoryIndex::Generation generation);
   /// Commits `index_` durably: tmp write (+fsync), rename, dir fsync.
   Status WriteIndex();
+  /// Commits `next` as the index, then deletes `doomed` and every history
+  /// log generation `next` no longer references.
+  Status CommitAndDelete(HistoryIndex next, std::vector<std::string> doomed);
   /// Deletes payload files the index no longer references.
   Status SweepOrphans();
   /// True (once) when the armed crash point is `point`.

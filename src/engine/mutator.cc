@@ -68,8 +68,9 @@ StatusOr<MutatorReport> RunWorkload(Engine* engine, UpdateSource* source,
     // Sleep phase: fill the tick to the configured rate.
     if (options.tick_hz > 0.0) {
       const auto deadline =
-          tick_start + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(1.0 / options.tick_hz));
+          tick_start +
+          std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double>(1.0 / options.tick_hz));
       std::this_thread::sleep_until(deadline);
     }
     ++tick;

@@ -1,13 +1,23 @@
 #include "engine/rebalancer.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "engine/sharded_engine.h"
 
 namespace tickpoint {
 
-Rebalancer::Rebalancer(const RebalancePolicy& policy) : policy_(policy) {
+Rebalancer::Rebalancer(const RebalancePolicy& policy,
+                       const ShardedEngine& engine)
+    : policy_(policy) {
   TP_CHECK(policy_.Valid());
+  const uint32_t k = engine.num_shards();
+  prev_marks_.assign(k, 0);
+  rate_.assign(k, 0.0);
+  hot_streak_.assign(k, 0);
+  migrated_.assign(k, 0);
+  (void)SampleRates(engine);
 }
 
 double Rebalancer::RatePerTick(uint32_t p) const {
@@ -22,38 +32,38 @@ uint32_t Rebalancer::HotStreak(uint32_t p) const {
 
 bool Rebalancer::SampleRates(const ShardedEngine& engine) {
   const uint32_t k = engine.num_shards();
-  if (prev_marks_.size() != k) {
-    prev_marks_.assign(k, 0);
-    rate_.assign(k, 0.0);
-    hot_streak_.assign(k, 0);
-    migrated_.assign(k, 0);
+  const uint64_t boundary = engine.CommonMarksBoundary();
+  if (sample_boundary_ != kNoSample && boundary <= sample_boundary_) {
+    return false;  // no tick has completed on every runner since
   }
   std::vector<uint64_t> marks(k, 0);
-  std::vector<uint64_t> deltas(k, 0);
-  uint64_t total = 0;
   for (uint32_t p = 0; p < k; ++p) {
-    marks[p] = engine.PartitionDirtyMarks(p);
+    const std::optional<uint64_t> at =
+        engine.PartitionDirtyMarksAt(p, boundary);
+    if (!at.has_value()) return false;  // outside a runner's sample window
+    marks[p] = *at;
+  }
+  if (sample_boundary_ == kNoSample) {
+    prev_marks_ = marks;
+    sample_boundary_ = boundary;
+    return false;
+  }
+  const double ticks = static_cast<double>(boundary - sample_boundary_);
+  for (uint32_t p = 0; p < k; ++p) {
     // The cumulative counter lives in the partition's ENGINE, so an engine
     // swap (migration, failover) restarts it at 0; a reading below the
     // previous one means exactly that, and the post-swap total IS the
     // window's delta.
-    deltas[p] = marks[p] >= prev_marks_[p] ? marks[p] - prev_marks_[p]
-                                           : marks[p];
-    total += deltas[p];
-  }
-  // All-zero window: either the fleet is idle or (threaded mode) the
-  // runner threads have not applied any batch since the last boundary.
-  // Folding zeros in would decay a real hot signal and reset its streak,
-  // so the boundary carries no detector signal at all.
-  if (total == 0) return false;
-  for (uint32_t p = 0; p < k; ++p) {
-    prev_marks_[p] = marks[p];
-    const double observed = static_cast<double>(deltas[p]);
+    const uint64_t delta =
+        marks[p] >= prev_marks_[p] ? marks[p] - prev_marks_[p] : marks[p];
+    const double observed = static_cast<double>(delta) / ticks;
     rate_[p] = rate_[p] == 0.0
                    ? observed
                    : policy_.ewma_alpha * observed +
                          (1.0 - policy_.ewma_alpha) * rate_[p];
   }
+  prev_marks_ = std::move(marks);
+  sample_boundary_ = boundary;
   return true;
 }
 
@@ -81,13 +91,12 @@ int Rebalancer::PickHotPartition(const ShardedEngine& engine) {
 Status Rebalancer::OnTickBoundary(ShardedEngine* engine) {
   if (engine->failed()) return Status::OK();
 
-  // Sample EVERY boundary, whatever the phase: a skipped boundary would
-  // make the next delta span several ticks and spike the smoothed rate.
-  // An UNINFORMATIVE boundary (no partition shows new marks -- idle
-  // fleet, or runners lagging the facade in threaded mode) updates
-  // nothing and earns no warmup credit, but an armed cut still commits
-  // below: the cut tick passing is a property of the fleet clock, not of
-  // observed write traffic.
+  // Sample EVERY boundary, whatever the phase, so the rates track the
+  // runners as closely as the facade sees them. An UNINFORMATIVE boundary
+  // (no tick completed on every runner since the last sample -- threaded
+  // runners lagging the facade) updates nothing and earns no warmup
+  // credit, but an armed cut still commits below: the cut tick passing is
+  // a property of the fleet clock, not of observed write traffic.
   const bool informative = SampleRates(*engine);
   if (informative) ++boundaries_seen_;
 

@@ -88,14 +88,15 @@ struct RebalanceEvent {
 ///   kIdle          sample mark rates, update hot streaks; when a
 ///                  partition stays hot through the hysteresis window,
 ///                  RequestConsistentCut and go to kCutRequested.
-///                  A boundary where NO partition shows any new marks is
-///                  uninformative -- in threaded mode the facade can run
-///                  boundaries faster than the runner threads apply
-///                  batches, so an all-zero window means "no progress
-///                  observed", not "the fleet went idle". Uninformative
-///                  boundaries leave the rates, streaks, and warmup count
-///                  untouched (they would otherwise decay a hot signal
-///                  into oblivion while the runners catch up).
+///                  Rates are read at the fleet's common marks boundary
+///                  (ShardedEngine::CommonMarksBoundary), the newest tick
+///                  every runner has applied, from the runners'
+///                  tick-stamped samples -- so every partition's window
+///                  covers the same ticks however far apart the threaded
+///                  runners are, and a runner that is ahead never looks
+///                  hot. A facade boundary at which that common boundary
+///                  has not moved is uninformative: it leaves the rates,
+///                  streaks, and warmup count untouched.
 ///   kCutRequested  keep ticking until the fleet tick passes the cut
 ///                  tick, then CommitConsistentCut + MigratePartition
 ///                  (to a freshly spawned slot, under the policy's mount
@@ -106,7 +107,10 @@ struct RebalanceEvent {
 /// fails with the coordinator's usual one-cut-in-flight error.
 class Rebalancer {
  public:
-  explicit Rebalancer(const RebalancePolicy& policy);
+  /// Baselines every partition's mark count at `engine`'s common marks
+  /// boundary, so the first evaluated window starts where the rebalancer
+  /// was enabled.
+  Rebalancer(const RebalancePolicy& policy, const ShardedEngine& engine);
 
   /// Runs one evaluation step against the quiesced facade state; called
   /// by Fleet::EndTick after a successful engine tick. Errors from the
@@ -130,16 +134,23 @@ class Rebalancer {
  private:
   enum class Phase { kIdle, kCutRequested };
 
-  /// Samples every partition's cumulative mark counter and folds the
-  /// per-boundary deltas into the smoothed rates. False when the boundary
-  /// was uninformative (every delta zero): no state was touched.
+  /// Sentinel for sample_boundary_: no baseline sample taken yet.
+  static constexpr uint64_t kNoSample = UINT64_MAX;
+
+  /// Samples every partition's cumulative mark counter at the common
+  /// marks boundary and folds the per-tick deltas since the previous
+  /// sample into the smoothed rates. False when the boundary was
+  /// uninformative (the common boundary has not moved, or this sample
+  /// only set the baseline): no rate or streak was touched.
   bool SampleRates(const ShardedEngine& engine);
   /// The hysteresis-qualified hot partition, or -1.
   int PickHotPartition(const ShardedEngine& engine);
 
   RebalancePolicy policy_;
   Phase phase_ = Phase::kIdle;
-  /// Previous boundary's cumulative counter per partition.
+  /// Common marks boundary of the previous sample, or kNoSample.
+  uint64_t sample_boundary_ = kNoSample;
+  /// Each partition's cumulative counter at sample_boundary_.
   std::vector<uint64_t> prev_marks_;
   /// Smoothed marks-per-tick per partition.
   std::vector<double> rate_;

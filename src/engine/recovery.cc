@@ -97,7 +97,7 @@ StatusOr<RecoveryResult> RecoverShard(const EngineConfig& config,
          base->consistent_tick > result.image_consistent_ticks)) {
       TP_ASSIGN_OR_RETURN(
           result.image_consistent_ticks,
-          ShardHistory::ReadGenerationImage(config.dir, base->seq, out));
+          ShardHistory::LoadGeneration(config.dir, *base, out));
       result.restored_from_checkpoint = true;
       result.image_seq = base->seq;
       backup_index = -1;

@@ -1,5 +1,6 @@
 #include "engine/shard_runner.h"
 
+#include <atomic>
 #include <chrono>
 
 #include "util/sched_fuzz.h"
@@ -51,15 +52,43 @@ ShardRunner::ShardRunner(uint32_t shard_id, std::unique_ptr<Engine> engine,
       threaded_(threaded),
       engine_(std::move(engine)),
       observer_(std::move(observer)),
-      mailbox_(static_cast<size_t>(max_queue_ticks)) {
+      mailbox_(static_cast<size_t>(max_queue_ticks)),
+      mark_samples_(static_cast<size_t>(max_queue_ticks) + 2) {
   TP_CHECK(engine_ != nullptr);
   TP_CHECK(max_queue_ticks > 0);
+  PublishMarks();
   if (threaded_) {
     thread_ = std::thread([this] { ThreadMain(); });
   }
 }
 
 ShardRunner::~ShardRunner() { Stop(); }
+
+std::optional<uint64_t> ShardRunner::MarksAt(uint64_t boundary) const {
+  const MarkSample& sample = mark_samples_[boundary % mark_samples_.size()];
+  if (sample.boundary.load(std::memory_order_acquire) != boundary) {
+    return std::nullopt;
+  }
+  const uint64_t marks = sample.marks.load(std::memory_order_relaxed);
+  // Re-check the stamp after the count: a rewrite that began in between
+  // invalidated it first, so an unchanged stamp means an untorn count.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (sample.boundary.load(std::memory_order_relaxed) != boundary) {
+    return std::nullopt;
+  }
+  return marks;
+}
+
+void ShardRunner::PublishMarks() {
+  const uint64_t boundary = engine_->current_tick();
+  MarkSample& sample = mark_samples_[boundary % mark_samples_.size()];
+  sample.boundary.store(MarkSample::kUnstamped, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  sample.marks.store(engine_->CumulativeDirtyMarks(),
+                     std::memory_order_relaxed);
+  sample.boundary.store(boundary, std::memory_order_release);
+  marks_boundary_.store(boundary, std::memory_order_release);
+}
 
 void ShardRunner::SubmitTick(ShardTickBatch batch) {
   if (!threaded_) {
@@ -206,6 +235,7 @@ void ShardRunner::ProcessBatch(const ShardTickBatch& batch) {
     has_error_.store(true, std::memory_order_release);
     return;
   }
+  PublishMarks();
   const auto& records = engine_->metrics().checkpoints;
   if (pending_cut_tick_ != ShardRunner::kNoCutTick) {
     // Under the sync IO backend the cut record lands inside the cut

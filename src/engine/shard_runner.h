@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -181,6 +182,21 @@ class ShardRunner {
   /// Valid once cut_acked() returned true.
   const CutAck& cut_ack() const { return cut_ack_; }
 
+  /// The newest tick boundary (engine tick after EndTick) this runner has
+  /// published a dirty-mark sample for: it has applied every tick before
+  /// it. Safe from any thread.
+  uint64_t marks_boundary() const {
+    return marks_boundary_.load(std::memory_order_acquire);
+  }
+  /// The engine's cumulative dirty-mark count as of tick boundary
+  /// `boundary`, or nullopt when that boundary is not in the sample
+  /// window. The window holds max_queue_ticks + 2 boundaries -- the widest
+  /// spread two runners of one fleet can show between the facade's
+  /// submits -- so every boundary from the fleet's slowest runner up to
+  /// this one's newest is readable from the facade thread. Safe from any
+  /// thread: a slot being overwritten reads as nullopt, never torn.
+  std::optional<uint64_t> MarksAt(uint64_t boundary) const;
+
   /// The owned engine. Per the Engine thread-safety contract, callers may
   /// touch it only while the runner is quiesced (after Drain/Stop, or
   /// inline mode).
@@ -215,6 +231,10 @@ class ShardRunner {
   /// records the sticky error, publishes the cut ack, and reports
   /// finished checkpoints.
   void ProcessBatch(const ShardTickBatch& batch);
+  /// Stamps the engine's cumulative dirty-mark count with its current tick
+  /// boundary (mutator thread, or the constructing thread before it
+  /// starts).
+  void PublishMarks();
 
   const uint32_t shard_id_;
   const bool threaded_;
@@ -268,6 +288,17 @@ class ShardRunner {
   /// when its record is found (async backends finalize the record at a
   /// later tick's EndTick, so the scan repeats each tick until then).
   uint64_t pending_cut_tick_ = kNoCutTick;
+
+  /// One tick-stamped dirty-mark sample, written seqlock-style: the stamp
+  /// is invalidated before the count changes and re-stamped after.
+  struct MarkSample {
+    static constexpr uint64_t kUnstamped = UINT64_MAX;
+    std::atomic<uint64_t> boundary{kUnstamped};
+    std::atomic<uint64_t> marks{0};
+  };
+  /// Ring of samples indexed by boundary modulo its size.
+  std::vector<MarkSample> mark_samples_;
+  std::atomic<uint64_t> marks_boundary_{0};
 
   std::thread thread_;
 };

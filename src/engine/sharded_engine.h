@@ -31,9 +31,11 @@
 #ifndef TICKPOINT_ENGINE_SHARDED_ENGINE_H_
 #define TICKPOINT_ENGINE_SHARDED_ENGINE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -260,14 +262,28 @@ class ShardedEngine {
                               : nullptr;
   }
 
+  /// The newest tick boundary every partition has applied through: the
+  /// latest point at which all partitions' dirty-mark counts cover the
+  /// same ticks. In threaded mode it trails current_tick() by however far
+  /// the slowest runner lags. Safe to poll from the facade thread while
+  /// the runners keep ticking.
+  uint64_t CommonMarksBoundary() const {
+    uint64_t boundary = UINT64_MAX;
+    for (const auto& runner : runners_) {
+      boundary = std::min(boundary, runner->marks_boundary());
+    }
+    return boundary;
+  }
   /// Partition `p`'s cumulative dirty-mark count (every dirty-bit Set its
-  /// engine ever performed). Monotonic across checkpoints; the delta
-  /// between two readings is the partition's write rate over that window
-  /// -- the rebalancer's load signal. Relaxed-atomic underneath, so safe
-  /// to poll from the facade thread while the runner keeps ticking; resets
-  /// to 0 when the partition's engine is replaced (migration, failover).
-  uint64_t PartitionDirtyMarks(uint32_t p) const {
-    return runners_[p]->engine().CumulativeDirtyMarks();
+  /// engine performed) through tick boundary `boundary`, or nullopt when
+  /// the runner no longer holds that boundary. Every boundary from
+  /// CommonMarksBoundary() up is held. Monotonic across checkpoints: the
+  /// delta between two boundaries is the partition's write load over
+  /// exactly those ticks -- the rebalancer's signal. Restarts at 0 when
+  /// the partition's engine is replaced (migration, failover).
+  std::optional<uint64_t> PartitionDirtyMarksAt(uint32_t p,
+                                                uint64_t boundary) const {
+    return runners_[p]->MarksAt(boundary);
   }
 
   /// The fleet's configuration: the manifest's, with this incarnation's

@@ -18,7 +18,9 @@ StateTable::StateTable(const StateLayout& layout)
   Clear();
 }
 
-uint32_t StateTable::Digest() const { return Crc32(data_.get(), buffer_bytes_); }
+uint32_t StateTable::Digest() const {
+  return Crc32(data_.get(), buffer_bytes_);
+}
 
 bool StateTable::ContentEquals(const StateTable& other) const {
   if (buffer_bytes_ != other.buffer_bytes_) return false;

@@ -31,10 +31,11 @@ UnitId SpatialGrid::ScanNear(const UnitTable& units, UnitId unit,
                              int32_t radius, Filter filter) const {
   const int32_t ux = units.x(unit);
   const int32_t uy = units.y(unit);
-  const int32_t b0x = std::clamp(ux - radius, 0, map_size_ - 1) >> bucket_shift_;
-  const int32_t b1x = std::clamp(ux + radius, 0, map_size_ - 1) >> bucket_shift_;
-  const int32_t b0y = std::clamp(uy - radius, 0, map_size_ - 1) >> bucket_shift_;
-  const int32_t b1y = std::clamp(uy + radius, 0, map_size_ - 1) >> bucket_shift_;
+  const int32_t edge = map_size_ - 1;
+  const int32_t b0x = std::clamp(ux - radius, 0, edge) >> bucket_shift_;
+  const int32_t b1x = std::clamp(ux + radius, 0, edge) >> bucket_shift_;
+  const int32_t b0y = std::clamp(uy - radius, 0, edge) >> bucket_shift_;
+  const int32_t b1y = std::clamp(uy + radius, 0, edge) >> bucket_shift_;
   const int64_t radius2 = static_cast<int64_t>(radius) * radius;
 
   UnitId best = kNoUnit;

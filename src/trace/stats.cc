@@ -50,8 +50,8 @@ TraceStats ComputeTraceStats(UpdateSource* source) {
     const uint64_t top = std::max<uint64_t>(1, sorted.size() / 100);
     uint64_t top_hits = 0;
     for (uint64_t i = 0; i < top; ++i) top_hits += sorted[i];
-    stats.hottest_percentile_share =
-        static_cast<double>(top_hits) / static_cast<double>(stats.total_updates);
+    stats.hottest_percentile_share = static_cast<double>(top_hits) /
+                                     static_cast<double>(stats.total_updates);
   }
   return stats;
 }

@@ -65,7 +65,9 @@ class BitVector {
   /// Number of set bits. O(size/64).
   uint64_t CountSet() const {
     uint64_t count = 0;
-    for (uint64_t w : words_) count += static_cast<uint64_t>(__builtin_popcountll(w));
+    for (uint64_t w : words_) {
+      count += static_cast<uint64_t>(__builtin_popcountll(w));
+    }
     return count;
   }
 

@@ -1,4 +1,4 @@
-// CRC-32 (IEEE 802.3 polynomial, table-driven). Used to checksum checkpoint
+// CRC-32 (IEEE 802.3 polynomial, slicing-by-16). Used to checksum checkpoint
 // file headers and to digest state tables in correctness tests.
 #ifndef TICKPOINT_UTIL_CRC32_H_
 #define TICKPOINT_UTIL_CRC32_H_

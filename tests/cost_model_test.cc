@@ -57,7 +57,8 @@ TEST(LayoutTest, ObjectOfCellIsMonotoneAndDense) {
 TEST(LayoutTest, ValidRejectsBadGeometry) {
   StateLayout layout = StateLayout::Paper();
   EXPECT_TRUE(layout.Valid());
-  layout.object_size = 500;  // not a multiple of cell_size=4... (it is; 500/4=125)
+  // 500 is a multiple of cell_size=4 (500/4=125).
+  layout.object_size = 500;
   EXPECT_TRUE(layout.Valid());
   layout.cell_size = 3;  // 500 % 3 != 0
   EXPECT_FALSE(layout.Valid());

@@ -14,7 +14,8 @@
 namespace tickpoint {
 namespace {
 
-StateLayout TestLayout() { return StateLayout::Small(2048, 10); }  // 160 objects
+// 160 objects.
+StateLayout TestLayout() { return StateLayout::Small(2048, 10); }
 
 ZipfTraceConfig TraceConfig(uint64_t ticks, uint64_t updates_per_tick) {
   ZipfTraceConfig config;

@@ -91,8 +91,8 @@ class FailoverTest : public ::testing::Test {
                         const ShardedEngine& engine, uint32_t p,
                         uint64_t expect_ticks) {
     EngineConfig shard_config = config.shard;
-    shard_config.dir =
-        ShardedEngine::ShardDir(config.shard.dir, engine.manifest().assignment[p]);
+    shard_config.dir = ShardedEngine::ShardDir(
+        config.shard.dir, engine.manifest().assignment[p]);
     shard_config.manual_checkpoints = true;
     StateTable table(config.shard.layout);
     auto result_or = Recover(shard_config, &table);
@@ -238,8 +238,8 @@ TEST_F(FailoverTest, AFailedFailoverNeverExposesTheLastReport) {
   ASSERT_TRUE(fleet.SimulateShardCrash(0).ok());
   ASSERT_NE(engine.replica_buffer(0), nullptr);
   engine.replica_buffer(0)->MarkTorn();
-  std::filesystem::remove_all(
-      ShardedEngine::ShardDir(config.shard.dir, engine.manifest().assignment[0]));
+  std::filesystem::remove_all(ShardedEngine::ShardDir(
+      config.shard.dir, engine.manifest().assignment[0]));
   EXPECT_FALSE(fleet.FailoverShard(0).ok());
   EXPECT_FALSE(fleet.last_failover_report().used_peer_memory)
       << "the failed failover leaked the previous success's report";

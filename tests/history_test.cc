@@ -18,13 +18,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "engine/checkpoint_store.h"
 #include "engine/compactor.h"
 #include "engine/fleet.h"
 #include "engine/fleet_manifest.h"
@@ -79,6 +82,35 @@ TEST(CompactorPlanTest, DropsOldestBeyondMaxGenerations) {
   EXPECT_EQ(plan.rewrite_segments, (std::vector<uint64_t>{1}));
 }
 
+TEST(CompactorPlanTest, RecordsOfOneLogGenerationShareOneBase) {
+  // Log records restore from their LogStore generation's full flush, so
+  // the count bound keeps whole generations: two bases here are log 2
+  // (records at 20, 22) and log 1 (records at 10, 12, 14), and the
+  // window base is log 1's full flush at 10, not its first record's tick.
+  using Kind = HistoryIndex::Generation::Kind;
+  HistoryIndex index;
+  index.generations = {{0, 0, 0, Kind::kZero},
+                       {1, 12, 100, Kind::kLog, 1, 10},
+                       {2, 14, 100, Kind::kLog, 1, 10},
+                       {3, 20, 100, Kind::kLog, 2, 20},
+                       {4, 22, 100, Kind::kLog, 2, 20}};
+  index.segments = {Seg(0, 0, 9, 50), Seg(1, 10, 25, 50)};
+  EXPECT_EQ(index.Bases(), 3u);
+  RetentionPolicy policy;
+  policy.enabled = true;
+  policy.max_generations = 2;
+  const CompactionPlan plan = PlanCompaction(index, policy);
+  EXPECT_EQ(plan.drop_generations, (std::vector<uint64_t>{0}));
+  EXPECT_EQ(plan.window_base, 10u);
+  EXPECT_EQ(plan.drop_segments, (std::vector<uint64_t>{0}));
+  EXPECT_TRUE(plan.rewrite_segments.empty());
+
+  policy.max_generations = 1;
+  const CompactionPlan newest = PlanCompaction(index, policy);
+  EXPECT_EQ(newest.drop_generations, (std::vector<uint64_t>{0, 1, 2}));
+  EXPECT_EQ(newest.window_base, 20u);
+}
+
 TEST(CompactorPlanTest, TickBoundDropsTrailersButNeverTheNewest) {
   HistoryIndex index;
   index.generations = {Gen(0, 0, 100), Gen(1, 40, 100), Gen(2, 100, 100)};
@@ -98,6 +130,32 @@ TEST(CompactorPlanTest, TickBoundDropsTrailersButNeverTheNewest) {
 }
 
 // ---- 2. ShardHistory protocol: crash-at-every-step sweeps ----
+
+/// Every file in the shard's history/ is index.bin or a payload `index`
+/// references: an image, a retired log generation, or a segment.
+void ExpectOnlyReferencedHistoryFiles(const std::string& shard_dir,
+                                      const HistoryIndex& index) {
+  for (const auto& entry :
+       std::filesystem::directory_iterator(paths::HistoryDir(shard_dir))) {
+    const std::string name = entry.path().filename().string();
+    uint64_t id = 0;
+    bool referenced = name == "index.bin";
+    if (paths::ParseHistoryGenerationFileName(name, &id)) {
+      for (const auto& gen : index.generations) {
+        referenced |= gen.kind == HistoryIndex::Generation::Kind::kImage &&
+                      gen.seq == id;
+      }
+    } else if (paths::ParseLogGenerationFileName(name, &id)) {
+      referenced = index.ReferencesLog(id);
+    } else if (paths::ParseHistorySegmentFileName(name, &id)) {
+      for (const auto& seg : index.segments) {
+        referenced |= seg.id == id;
+      }
+    }
+    EXPECT_TRUE(referenced) << "unreferenced file survived the sweep: "
+                            << name;
+  }
+}
 
 class HistoryProtocolTest : public ::testing::Test {
  protected:
@@ -174,24 +232,63 @@ class HistoryProtocolTest : public ::testing::Test {
       EXPECT_EQ(range_or.value().first_tick, seg.first_tick);
       EXPECT_EQ(range_or.value().last_tick, seg.last_tick);
     }
-    for (const auto& entry :
-         std::filesystem::directory_iterator(history_dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name == "index.bin") continue;
-      uint64_t id = 0;
-      bool referenced = false;
-      if (paths::ParseHistoryGenerationFileName(name, &id)) {
-        for (const auto& gen : index.generations) {
-          referenced |= gen.seq == id;
-        }
-      } else if (paths::ParseHistorySegmentFileName(name, &id)) {
-        for (const auto& seg : index.segments) {
-          referenced |= seg.id == id;
-        }
-      }
-      EXPECT_TRUE(referenced) << "unreferenced file survived the sweep: "
-                              << name;
+    ExpectOnlyReferencedHistoryFiles(shard_dir, index);
+  }
+
+  /// The state of a log generation written by WriteLogGeneration(salt,
+  /// tick) after `increments` of its incremental segments: MakeState(salt)
+  /// with the WriteLiveLog updates of ticks [tick, tick + increments).
+  StateTable LogState(uint32_t salt, uint64_t tick, uint64_t increments) {
+    StateTable table = MakeState(salt);
+    for (uint64_t t = tick; t < tick + increments; ++t) {
+      table.WriteCell(static_cast<uint32_t>(t % 16),
+                      static_cast<int32_t>(t * 7));
     }
+    return table;
+  }
+
+  /// Writes LogStore generation `gen` into `shard_dir`: a full flush of
+  /// MakeState(salt) consistent at `tick`, then `increments` one-object
+  /// segments consistent at tick + 1, tick + 2, ... (the object every
+  /// WriteLiveLog update lands in). Returns the file's bytes through each
+  /// segment.
+  std::vector<uint64_t> WriteLogGeneration(const std::string& shard_dir,
+                                           uint64_t gen, uint32_t salt,
+                                           uint64_t tick,
+                                           uint64_t increments) {
+    std::vector<uint64_t> bytes;
+    auto store_or = LogStore::Open(shard_dir, layout_, /*fsync=*/false);
+    EXPECT_TRUE(store_or.ok());
+    LogStore& store = *store_or.value();
+    StateTable state = MakeState(salt);
+    EXPECT_TRUE(store.BeginGeneration(gen).ok());
+    EXPECT_TRUE(
+        store.BeginSegment(gen * 100, tick, true, layout_.num_objects()).ok());
+    EXPECT_TRUE(store.AppendRun(0, state.data(), layout_.num_objects()).ok());
+    EXPECT_TRUE(store.CommitSegment().ok());
+    bytes.push_back(store.current_generation_bytes());
+    for (uint64_t i = 1; i <= increments; ++i) {
+      state = LogState(salt, tick, i);
+      EXPECT_TRUE(store.BeginSegment(gen * 100 + i, tick + i, false, 1).ok());
+      EXPECT_TRUE(store.AppendObject(0, state.ObjectData(0)).ok());
+      EXPECT_TRUE(store.CommitSegment().ok());
+      bytes.push_back(store.current_generation_bytes());
+    }
+    return bytes;
+  }
+
+  /// The LogStore generation numbers present in `dir`.
+  static std::vector<uint64_t> LogFilesIn(const std::string& dir) {
+    std::vector<uint64_t> gens;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      uint64_t gen = 0;
+      if (paths::ParseLogGenerationFileName(entry.path().filename().string(),
+                                            &gen)) {
+        gens.push_back(gen);
+      }
+    }
+    std::sort(gens.begin(), gens.end());
+    return gens;
   }
 
   std::string dir_;
@@ -407,6 +504,182 @@ TEST_F(HistoryProtocolTest, TornIndexIsCorruptionForReadersResetForWriters) {
   VerifyIntegrity(shard);
 }
 
+TEST_F(HistoryProtocolTest, LogGenerationsAreReferencedNotCopied) {
+  const std::string shard = FreshShardDir(0);
+  const std::vector<uint64_t> bytes0 = WriteLogGeneration(shard, 0, 1, 5, 2);
+  WriteLiveLog(shard, 5, 12);
+  auto history_or = OpenHistory(shard, 2);
+  ASSERT_TRUE(history_or.ok()) << history_or.status().ToString();
+  ShardHistory& history = *history_or.value();
+  ASSERT_TRUE(history.RecordZeroGeneration().ok());
+  ASSERT_TRUE(history.RecordLogGeneration(0, 5, 5, bytes0[0]).ok());
+  ASSERT_TRUE(history.RecordLogGeneration(0, 5, 7, bytes0[2]).ok());
+  // No payload was written: the records name the live generation file,
+  // which stays where the LogStore wrote it, and it counts once.
+  EXPECT_TRUE(LogFilesIn(paths::HistoryDir(shard)).empty());
+  EXPECT_EQ(history.index().TotalBytes(), bytes0[2]);
+
+  // Each kind loads exactly at its tick: the zero state, and the shared
+  // file scanned through 5 (the full flush alone) and through 7.
+  StateTable table(layout_);
+  const auto& gens = history.index().generations;
+  ASSERT_EQ(gens.size(), 3u);
+  EXPECT_EQ(gens[0].kind, HistoryIndex::Generation::Kind::kZero);
+  table.WriteCell(3, 99);
+  ASSERT_EQ(ShardHistory::ReadGenerationImage(shard, gens[0].seq, &table)
+                .value(),
+            0u);
+  EXPECT_TRUE(table.ContentEquals(StateTable(layout_)));
+  ASSERT_EQ(ShardHistory::ReadGenerationImage(shard, gens[1].seq, &table)
+                .value(),
+            5u);
+  EXPECT_TRUE(table.ContentEquals(LogState(1, 5, 0)));
+  ASSERT_EQ(ShardHistory::ReadGenerationImage(shard, gens[2].seq, &table)
+                .value(),
+            7u);
+  EXPECT_TRUE(table.ContentEquals(LogState(1, 5, 2)));
+  const HistoryIndex::Generation at_7 = gens[2];
+
+  // Generation 2 is a new base: with two bases retained, the zero state
+  // goes. Its full flush retires generation 0 into history/, cut back to
+  // its full flush; a superseded generation no record references is
+  // deleted instead.
+  WriteLogGeneration(shard, 1, 2, 8, 0);
+  const std::vector<uint64_t> bytes2 = WriteLogGeneration(shard, 2, 3, 10, 2);
+  ASSERT_TRUE(history.RecordLogGeneration(2, 10, 10, bytes2[0]).ok());
+  EXPECT_EQ(history.index().generations.size(), 3u);
+  ASSERT_TRUE(history.RetireLogGenerations(2).ok());
+  EXPECT_EQ(LogFilesIn(shard), (std::vector<uint64_t>{2}));
+  EXPECT_EQ(LogFilesIn(paths::HistoryDir(shard)), (std::vector<uint64_t>{0}));
+  const std::string retired =
+      paths::HistoryDir(shard) + "/" + paths::LogGenerationFileName(0);
+  EXPECT_EQ(std::filesystem::file_size(retired), bytes0[0]);
+  EXPECT_EQ(history.index().TotalBytes(), bytes0[0] + bytes2[0]);
+
+  // The record at 7 now loads its base at 5 and replays ticks 5 and 6.
+  auto loaded_or = ShardHistory::LoadGeneration(shard, at_7, &table);
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  EXPECT_EQ(loaded_or.value(), 5u);
+  ASSERT_EQ(ShardHistory::ReadGenerationImage(shard, at_7.seq, &table).value(),
+            7u);
+  EXPECT_TRUE(table.ContentEquals(LogState(1, 5, 2)));
+  VerifyIntegrity(shard);
+
+  // A logical log that stops short of the record's tick is Corruption, and
+  // so is a retired file cut below its full flush.
+  WriteLiveLog(shard, 5, 5);
+  EXPECT_EQ(ShardHistory::ReadGenerationImage(shard, at_7.seq, &table)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  WriteLiveLog(shard, 5, 12);
+  std::filesystem::resize_file(retired, bytes0[0] - 8);
+  EXPECT_EQ(ShardHistory::ReadGenerationImage(shard, at_7.seq, &table)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+
+  // Records sharing generation 2 add no base; generation 3 does, so
+  // generation 0's records are dropped and its file goes too.
+  ASSERT_TRUE(history.RecordLogGeneration(2, 10, 11, bytes2[1]).ok());
+  ASSERT_TRUE(history.RecordLogGeneration(2, 10, 12, bytes2[2]).ok());
+  EXPECT_TRUE(history.index().ReferencesLog(0));
+  const std::vector<uint64_t> bytes3 = WriteLogGeneration(shard, 3, 4, 13, 0);
+  ASSERT_TRUE(history.RetireLogGenerations(3).ok());
+  ASSERT_TRUE(history.RecordLogGeneration(3, 13, 13, bytes3[0]).ok());
+  EXPECT_FALSE(history.index().ReferencesLog(0));
+  EXPECT_EQ(history.index().generations.size(), 4u);
+  EXPECT_EQ(LogFilesIn(paths::HistoryDir(shard)), (std::vector<uint64_t>{2}));
+  VerifyIntegrity(shard);
+}
+
+TEST_F(HistoryProtocolTest, RetireCrashSweep) {
+  // A full flush of generation 1 retires generation 0 (rename into
+  // history/, cut back to its full flush, index commit) and then commits
+  // its own record. A crash after any step leaves every referenced
+  // generation loadable, and the writable reopen + retry converges on the
+  // no-crash outcome.
+  const HistoryCrashPoint points[] = {HistoryCrashPoint::kAfterRetireRename,
+                                      HistoryCrashPoint::kAfterIndexTmp,
+                                      HistoryCrashPoint::kAfterIndexRename};
+  int i = 0;
+  for (const HistoryCrashPoint point : points) {
+    SCOPED_TRACE(static_cast<int>(point));
+    const std::string shard = FreshShardDir(i++);
+    const std::vector<uint64_t> bytes0 = WriteLogGeneration(shard, 0, 1, 5, 2);
+    const std::vector<uint64_t> bytes1 = WriteLogGeneration(shard, 1, 2, 8, 0);
+    WriteLiveLog(shard, 5, 8);
+    {
+      auto history_or = OpenHistory(shard, 4);
+      ASSERT_TRUE(history_or.ok());
+      ShardHistory& history = *history_or.value();
+      ASSERT_TRUE(history.RecordLogGeneration(0, 5, 5, bytes0[0]).ok());
+      ASSERT_TRUE(history.RecordLogGeneration(0, 5, 7, bytes0[2]).ok());
+      history.SetCrashPointForTest(point);
+      Status status = history.RetireLogGenerations(1);
+      if (status.ok()) {
+        status = history.RecordLogGeneration(1, 8, 8, bytes1[0]);
+      }
+      EXPECT_EQ(status.code(), StatusCode::kInternal);
+    }
+    // Before the retry, whatever the crash left is readable.
+    {
+      auto index_or = ShardHistory::ReadIndex(shard);
+      ASSERT_TRUE(index_or.ok()) << index_or.status().ToString();
+      StateTable table(layout_);
+      for (const auto& gen : index_or->generations) {
+        auto tick_or =
+            ShardHistory::ReadGenerationImage(shard, gen.seq, &table);
+        ASSERT_TRUE(tick_or.ok()) << tick_or.status().ToString();
+        EXPECT_EQ(tick_or.value(), gen.consistent_tick);
+      }
+    }
+    auto reopened_or = OpenHistory(shard, 4);
+    ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+    ShardHistory& history = *reopened_or.value();
+    ASSERT_TRUE(history.RetireLogGenerations(1).ok());
+    ASSERT_TRUE(history.RecordLogGeneration(1, 8, 8, bytes1[0]).ok());
+    EXPECT_EQ(LogFilesIn(shard), (std::vector<uint64_t>{1}));
+    EXPECT_EQ(LogFilesIn(paths::HistoryDir(shard)),
+              (std::vector<uint64_t>{0}));
+    EXPECT_EQ(std::filesystem::file_size(paths::HistoryDir(shard) + "/" +
+                                         paths::LogGenerationFileName(0)),
+              bytes0[0]);
+    const auto& gens = history.index().generations;
+    ASSERT_EQ(gens.size(), 3u);
+    EXPECT_EQ(gens[1].bytes, bytes0[0]);
+    const StateTable expected[] = {LogState(1, 5, 0), LogState(1, 5, 2),
+                                   LogState(2, 8, 0)};
+    for (size_t g = 0; g < gens.size(); ++g) {
+      StateTable table(layout_);
+      auto tick_or =
+          ShardHistory::ReadGenerationImage(shard, gens[g].seq, &table);
+      ASSERT_TRUE(tick_or.ok()) << tick_or.status().ToString();
+      EXPECT_TRUE(table.ContentEquals(expected[g])) << "generation " << g;
+    }
+    VerifyIntegrity(shard);
+  }
+}
+
+TEST_F(HistoryProtocolTest, UnreferencedLogGenerationsAreSweptOnOpen) {
+  // A compaction that committed its index but crashed before deleting a
+  // retired generation leaves an orphan; the writable open removes it.
+  const std::string shard = FreshShardDir(0);
+  {
+    auto history_or = OpenHistory(shard, 4);
+    ASSERT_TRUE(history_or.ok());
+    ASSERT_TRUE(history_or.value()->RecordZeroGeneration().ok());
+  }
+  const std::vector<uint64_t> bytes = WriteLogGeneration(shard, 3, 1, 5, 0);
+  std::filesystem::rename(
+      shard + "/" + paths::LogGenerationFileName(3),
+      paths::HistoryDir(shard) + "/" + paths::LogGenerationFileName(3));
+  auto reopened_or = OpenHistory(shard, 4);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  EXPECT_TRUE(LogFilesIn(paths::HistoryDir(shard)).empty());
+  VerifyIntegrity(shard);
+}
+
 // ---- 3. The manifest retention extension ----
 
 class HistoryManifestTest : public ::testing::Test {
@@ -486,11 +759,12 @@ class FleetPitTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  ShardedEngineConfig Config(uint32_t num_shards,
-                             IoBackendKind backend = IoBackendKind::kSync) {
+  ShardedEngineConfig Config(
+      uint32_t num_shards, IoBackendKind backend = IoBackendKind::kSync,
+      AlgorithmKind algorithm = AlgorithmKind::kCopyOnUpdate) {
     ShardedEngineConfig config;
     config.shard.layout = ShardLayout();
-    config.shard.algorithm = AlgorithmKind::kCopyOnUpdate;
+    config.shard.algorithm = algorithm;
     config.shard.dir = dir_;
     config.shard.fsync = false;  // simulated crashes: page cache is durable
     config.shard.full_flush_period = 3;
@@ -554,15 +828,67 @@ class FleetPitTest : public ::testing::Test {
     }
   }
 
+  /// Every shard keeps only files its history index references: history/
+  /// holds referenced images, log generations and segments, and the shard
+  /// directory at most the live log generation.
+  void ExpectOnlyReferencedFiles(uint32_t num_shards) {
+    for (uint32_t i = 0; i < num_shards; ++i) {
+      SCOPED_TRACE("shard " + std::to_string(i));
+      const std::string shard = paths::ShardDir(dir_, i);
+      auto index_or = ShardHistory::ReadIndex(shard);
+      ASSERT_TRUE(index_or.ok()) << index_or.status().ToString();
+      ExpectOnlyReferencedHistoryFiles(shard, index_or.value());
+      // A crash may leave a torn newer generation beside the live one, but
+      // nothing older than the newest intact full flush.
+      std::vector<uint64_t> gens;
+      for (const auto& entry : std::filesystem::directory_iterator(shard)) {
+        uint64_t gen = 0;
+        if (paths::ParseLogGenerationFileName(
+                entry.path().filename().string(), &gen)) {
+          gens.push_back(gen);
+        }
+      }
+      std::sort(gens.begin(), gens.end());
+      auto store_or = LogStore::Open(shard, ShardLayout(), /*fsync=*/false);
+      ASSERT_TRUE(store_or.ok());
+      while (gens.size() > 1) {
+        auto segments_or = store_or.value()->ListSegments(gens.back());
+        if (segments_or.ok() && !segments_or->empty() &&
+            segments_or->front().full_flush) {
+          break;
+        }
+        gens.pop_back();
+      }
+      EXPECT_LE(gens.size(), 1u)
+          << "a superseded log generation stayed in the shard directory";
+    }
+  }
+
   std::string dir_;
 };
 
+/// Both disk organizations: Copy-on-Update writes double-backup images
+/// (history keeps copies), Partial-Redo writes the log (history references
+/// the LogStore's own generation files).
+const AlgorithmKind kBothOrganizations[] = {AlgorithmKind::kCopyOnUpdate,
+                                            AlgorithmKind::kPartialRedo};
+
+std::string OrganizationName(AlgorithmKind algorithm) {
+  return algorithm == AlgorithmKind::kPartialRedo ? "log" : "double_backup";
+}
+
 class FleetPitBackendTest
     : public FleetPitTest,
-      public ::testing::WithParamInterface<IoBackendKind> {};
+      public ::testing::WithParamInterface<
+          std::tuple<IoBackendKind, AlgorithmKind>> {};
+
+class FleetPitOrganizationTest
+    : public FleetPitTest,
+      public ::testing::WithParamInterface<AlgorithmKind> {};
 
 TEST_P(FleetPitBackendTest, EveryTickInTheWindowRestoresExactly) {
-  const auto config = Config(3, GetParam());
+  const auto config = Config(3, std::get<0>(GetParam()),
+                             std::get<1>(GetParam()));
   // How many checkpoints a fixed tick count completes depends on writer
   // timing, so the fleet ticks until compaction has dropped every shard's
   // birth generation (consistent tick 0), bounded far above what an
@@ -591,6 +917,7 @@ TEST_P(FleetPitBackendTest, EveryTickInTheWindowRestoresExactly) {
     }
     ASSERT_TRUE(fleet_or.value()->SimulateCrash().ok());
   }
+  ExpectOnlyReferencedFiles(3);
 
   auto window_or = Fleet::RestorableWindow(dir_);
   ASSERT_TRUE(window_or.ok()) << window_or.status().ToString();
@@ -635,14 +962,17 @@ TEST_P(FleetPitBackendTest, EveryTickInTheWindowRestoresExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothIoBackends, FleetPitBackendTest,
-                         ::testing::Values(IoBackendKind::kSync,
-                                           IoBackendKind::kAsync),
-                         [](const auto& info) {
-                           return info.param == IoBackendKind::kSync
-                                      ? "sync"
-                                      : "async";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    BothIoBackendsAndOrganizations, FleetPitBackendTest,
+    ::testing::Combine(::testing::Values(IoBackendKind::kSync,
+                                         IoBackendKind::kAsync),
+                       ::testing::ValuesIn(kBothOrganizations)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == IoBackendKind::kSync
+                             ? "sync_"
+                             : "async_") +
+             OrganizationName(std::get<1>(info.param));
+    });
 
 TEST_F(FleetPitTest, WindowHoldsAtEveryCrashTick) {
   // Crash-at-every-phase sweep: whatever tick the fleet dies at -- before
@@ -673,8 +1003,8 @@ TEST_F(FleetPitTest, WindowHoldsAtEveryCrashTick) {
   }
 }
 
-TEST_F(FleetPitTest, ResumeStartsANewEpochAndRetiresTheOldFuture) {
-  const auto config = Config(2);
+TEST_P(FleetPitOrganizationTest, ResumeStartsANewEpochAndRetiresTheOldFuture) {
+  const auto config = Config(2, IoBackendKind::kSync, GetParam());
   constexpr uint64_t kFirstRun = 18;
   constexpr uint64_t kSecondRun = 8;
   std::vector<StateTable> reference;
@@ -714,6 +1044,7 @@ TEST_F(FleetPitTest, ResumeStartsANewEpochAndRetiresTheOldFuture) {
   }
   EXPECT_EQ(new_epoch, old_epoch + 1)
       << "a point-in-time resume must commit a new fleet epoch";
+  ExpectOnlyReferencedFiles(2);
 
   // Extend the original (unsalted) timeline deterministically past its
   // crash point: what the retired future WOULD have produced at the ticks
@@ -759,12 +1090,12 @@ TEST_F(FleetPitTest, ResumeStartsANewEpochAndRetiresTheOldFuture) {
   }
 }
 
-TEST_F(FleetPitTest, TornHistoryIndexFallsBackToLatestRecovery) {
+TEST_P(FleetPitOrganizationTest, TornHistoryIndexFallsBackToLatestRecovery) {
   // A resume in the middle truncates the live logs and retires the stale
-  // live images, so ticks BEFORE the resume point are reachable only
-  // through the history subsystem -- exactly the regime where a torn
-  // index must degrade cleanly.
-  const auto config = Config(2);
+  // live images (or log generations, into history/), so ticks BEFORE the
+  // resume point are reachable only through the history subsystem --
+  // exactly the regime where a torn index must degrade cleanly.
+  const auto config = Config(2, IoBackendKind::kSync, GetParam());
   constexpr uint64_t kFirstRun = 14;
   std::vector<StateTable> reference;
   std::vector<std::vector<StateTable>> per_tick;
@@ -813,7 +1144,7 @@ TEST_F(FleetPitTest, TornHistoryIndexFallsBackToLatestRecovery) {
   }
 }
 
-TEST_F(FleetPitTest, DiskStaysBoundedAcrossCompactionCycles) {
+TEST_P(FleetPitOrganizationTest, DiskStaysBoundedAcrossCompactionCycles) {
   // The bounded-compaction acceptance: cycle run -> clean shutdown ->
   // reopen (each reopen archives the live log into a history segment, so
   // segments accumulate too) and assert at every quiesced boundary that
@@ -824,13 +1155,22 @@ TEST_F(FleetPitTest, DiskStaysBoundedAcrossCompactionCycles) {
   if (const char* soak = std::getenv("TP_HISTORY_SOAK_TICKS")) {
     total_ticks = std::max<uint64_t>(std::strtoull(soak, nullptr, 10), 20);
   }
-  const auto config = Config(2);
-  const uint64_t image_bytes = 48 + StateTable(ShardLayout()).buffer_bytes();
-  // Three generation images plus the archived-log slack the retained tick
-  // window can reference (a constant: compaction truncates segments below
-  // the window base).
+  const auto config = Config(2, IoBackendKind::kSync, GetParam());
+  const StateLayout layout = ShardLayout();
+  // Per retained generation, its file: an image copy, or a LogStore
+  // generation counted once however many records share it -- one full
+  // flush plus at most full_flush_period - 1 increments, none larger than
+  // the full flush (segment header and CRC fit in 64 bytes). Plus the
+  // archived-log slack the retained tick window can reference (a
+  // constant: compaction truncates segments below the window base).
+  const uint64_t file_bytes =
+      GetParam() == AlgorithmKind::kPartialRedo
+          ? config.shard.full_flush_period *
+                (64 + layout.num_objects() *
+                          (sizeof(uint64_t) + layout.object_size))
+          : 48 + StateTable(layout).buffer_bytes();
   const uint64_t budget =
-      config.shard.retention.max_generations * image_bytes + 16 * 1024;
+      config.shard.retention.max_generations * file_bytes + 16 * 1024;
 
   std::vector<StateTable> reference;
   uint64_t max_observed_bytes = 0;
@@ -853,9 +1193,9 @@ TEST_F(FleetPitTest, DiskStaysBoundedAcrossCompactionCycles) {
           << "shard " << i << " after "
           << done + config.checkpoint_period_ticks
           << " ticks: history grew past the retention budget";
-      EXPECT_LE(index_or->generations.size(),
-                config.shard.retention.max_generations);
+      EXPECT_LE(index_or->Bases(), config.shard.retention.max_generations);
     }
+    ExpectOnlyReferencedFiles(2);
   }
   for (uint32_t i = 0; i < 2; ++i) {
     auto index_or = ShardHistory::ReadIndex(paths::ShardDir(dir_, i));
@@ -865,6 +1205,12 @@ TEST_F(FleetPitTest, DiskStaysBoundedAcrossCompactionCycles) {
   }
   EXPECT_GT(max_observed_bytes, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothOrganizations, FleetPitOrganizationTest,
+                         ::testing::ValuesIn(kBothOrganizations),
+                         [](const auto& info) {
+                           return OrganizationName(info.param);
+                         });
 
 TEST_F(FleetPitTest, RestoredBattleDigestsEqualTheGoldenReplay) {
   // The game-layer oracle: RecoverToTick(T) must digest-equal a golden

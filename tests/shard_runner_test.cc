@@ -1,6 +1,6 @@
-// Direct ShardRunner unit tests: the mailbox backpressure bound and the
-// sticky-error drain contract, previously exercised only through the
-// ShardedEngine facade.
+// Direct ShardRunner unit tests: the mailbox backpressure bound, the
+// sticky-error drain contract, and the tick-stamped dirty-mark window,
+// previously exercised only through the ShardedEngine facade.
 #include "engine/shard_runner.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,6 +113,39 @@ TEST_F(ShardRunnerTest, StickyErrorFreezesTheEngineButDrainsTheMailbox) {
   EXPECT_EQ(runner.status(), drain);
   runner.Stop();
   runner.Stop();  // idempotent
+  ASSERT_TRUE(runner.engine().Shutdown().ok());
+}
+
+TEST_F(ShardRunnerTest, MarkSamplesCoverTheWholeMailboxLag) {
+  // The rebalancer reads every runner's dirty-mark count at the fleet's
+  // slowest boundary, so a runner must still hold the sample of any
+  // boundary the mailbox bound lets a sibling trail it by: after a
+  // SubmitTick returns, boundary submitted - (max_queue_ticks + 1) is
+  // readable, stamped with exactly the marks of the ticks before it.
+  constexpr uint64_t kMaxQueue = 4;
+  constexpr uint64_t kTicks = 200;
+  constexpr uint64_t kUpdates = 2000;
+  ShardRunner runner(0, OpenEngine(), /*threaded=*/true, kMaxQueue, nullptr);
+  ASSERT_EQ(runner.MarksAt(0), std::optional<uint64_t>(0));
+  for (uint64_t tick = 0; tick < kTicks; ++tick) {
+    runner.SubmitTick(MakeBatch(tick, kUpdates));
+    const uint64_t submitted = tick + 1;
+    if (submitted < kMaxQueue + 1) continue;
+    const uint64_t slowest = submitted - (kMaxQueue + 1);
+    EXPECT_GE(runner.marks_boundary(), slowest);
+    EXPECT_EQ(runner.MarksAt(slowest),
+              std::optional<uint64_t>(slowest * kUpdates))
+        << "boundary " << slowest << " after submitting tick " << tick;
+  }
+  ASSERT_TRUE(runner.Drain().ok());
+  EXPECT_EQ(runner.marks_boundary(), kTicks);
+  EXPECT_EQ(runner.MarksAt(kTicks), std::optional<uint64_t>(kTicks * kUpdates));
+  // The window holds max_queue_ticks + 2 boundaries; older ones and
+  // boundaries not yet reached read as absent, never as a stale count.
+  EXPECT_TRUE(runner.MarksAt(kTicks - kMaxQueue - 1).has_value());
+  EXPECT_FALSE(runner.MarksAt(kTicks - kMaxQueue - 2).has_value());
+  EXPECT_FALSE(runner.MarksAt(kTicks + 1).has_value());
+  runner.Stop();
   ASSERT_TRUE(runner.engine().Shutdown().ok());
 }
 

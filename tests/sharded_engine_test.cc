@@ -561,10 +561,11 @@ TEST_F(ShardedEngineTest, ThreadedPartialFailureHardFailsTheFleet) {
 TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
   // Same workload, same schedule: per-shard final states must be identical
   // whether the shards run on their own mutator threads or multiplexed on
-  // the facade's, and the checkpoint cadence must agree. (Exact start
-  // ticks are NOT compared: a request is served at the first EndTick that
-  // observes the previous flush drained, which depends on real writer
-  // timing.)
+  // the facade's, and the checkpoint cadence must agree. A request is
+  // served at the first EndTick that observes the previous flush drained,
+  // so both fleets reap every in-flight checkpoint at the same tick
+  // boundaries: each start tick is then fixed by the schedule alone, not
+  // by writer timing.
   std::vector<std::unique_ptr<Fleet>> fleets;
   for (const bool threaded : {false, true}) {
     auto config = Config(AlgorithmKind::kCopyOnUpdate, 3);
@@ -577,9 +578,8 @@ TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
   const auto checkpoints = [&](size_t fleet, uint32_t shard) {
     return fleets[fleet]->engine().shard(shard).metrics().checkpoints.size();
   };
-  // How many checkpoints a fixed tick count completes depends on writer
-  // timing, so both fleets tick in lockstep until every shard of each has
-  // completed three, bounded far above what an unslowed run needs.
+  // Both fleets tick in lockstep until every shard of each has completed
+  // three checkpoints, bounded far above what the schedule needs.
   constexpr uint64_t kMaxTicks = 400;
   std::vector<std::vector<StateTable>> references(fleets.size());
   for (bool all_three = false; !all_three;) {
@@ -587,9 +587,14 @@ TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
         << "a shard completed fewer than three checkpoints";
     all_three = true;
     for (size_t f = 0; f < fleets.size(); ++f) {
-      RunTicks(&fleets[f]->engine(), 10, &references[f]);
+      RunTicks(&fleets[f]->engine(), 1, &references[f]);
+      // Quiesced runners: the engines may be touched from this thread.
       ASSERT_TRUE(fleets[f]->WaitForIdle().ok());
-      for (uint32_t i = 0; i < 3; ++i) all_three &= checkpoints(f, i) >= 3;
+      for (uint32_t i = 0; i < 3; ++i) {
+        ASSERT_TRUE(
+            fleets[f]->engine().shard(i).CompletePendingCheckpoint().ok());
+        all_three &= checkpoints(f, i) >= 3;
+      }
     }
   }
   for (const auto& fleet : fleets) ASSERT_TRUE(fleet->Shutdown().ok());

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "util/crc32.h"
 #include "util/flags.h"
@@ -33,6 +34,54 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
     const uint32_t chained =
         Crc32(data.data() + split, data.size() - split, part);
     EXPECT_EQ(chained, whole) << "split " << split;
+  }
+}
+
+// The textbook one-byte-at-a-time CRC-32, with no table: the reference the
+// word-wise kernel must match bit for bit.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t length,
+                      uint32_t initial) {
+  uint32_t crc = ~initial;
+  for (size_t i = 0; i < length; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndOffset) {
+  std::vector<unsigned char> data(1100 + 16);
+  uint32_t x = 0x9E3779B9u;
+  for (auto& byte : data) {
+    x = x * 1664525u + 1013904223u;
+    byte = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 1100; ++length) {
+      const unsigned char* p = data.data() + offset;
+      ASSERT_EQ(Crc32(p, length), BitwiseCrc32(p, length, 0))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(Crc32(p, length, 0xDEADBEEFu),
+                BitwiseCrc32(p, length, 0xDEADBEEFu))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingIdentityHoldsAcrossWordBoundaries) {
+  // crc32.h: Crc32(data, len) == Crc32(data + k, len - k, Crc32(data, k)),
+  // for splits that land inside and on the kernel's 16-byte steps.
+  std::vector<unsigned char> data(300);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  const uint32_t whole = Crc32(data.data(), data.size());
+  for (size_t k = 0; k <= data.size(); ++k) {
+    EXPECT_EQ(Crc32(data.data() + k, data.size() - k, Crc32(data.data(), k)),
+              whole)
+        << "split " << k;
   }
 }
 

@@ -10,7 +10,8 @@
 // operator needs to answer "what would this shard recover to right now?".
 //
 // --history prints the point-in-time retention state instead: the
-// generation table with per-generation on-disk bytes, the archived
+// generation table with each generation's kind (image copy, log
+// generation, or zero birth state) and on-disk bytes, the archived
 // logical-log segments, the retained (restorable) tick window, and what
 // the next compaction pass would drop or rewrite under the given policy.
 //
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "engine/checkpoint_store.h"
 #include "engine/compactor.h"
@@ -35,6 +37,20 @@ namespace {
 
 bool Contains(const std::vector<uint64_t>& ids, uint64_t id) {
   return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+/// "image" (a copy under history/), "log G" (LogStore generation G read
+/// through the consistent tick), or "zero" (the birth state, no file).
+std::string GenerationKind(const HistoryIndex::Generation& gen) {
+  switch (gen.kind) {
+    case HistoryIndex::Generation::Kind::kImage:
+      return "image";
+    case HistoryIndex::Generation::Kind::kLog:
+      return "log " + std::to_string(gen.log_gen);
+    case HistoryIndex::Generation::Kind::kZero:
+      return "zero";
+  }
+  return "?";
 }
 
 /// The --history mode: generation table, retained window, compaction
@@ -64,18 +80,21 @@ int InspectHistory(const std::string& dir, const Flags& flags) {
       flags.GetInt64("max-retained-ticks", 0));
   const CompactionPlan plan = PlanCompaction(index, policy);
 
-  std::printf("history of %s (%zu generations, %zu segments, %llu bytes, "
-              "%llu compactions so far)\n\n",
-              dir.c_str(), index.generations.size(), index.segments.size(),
+  std::printf("history of %s (%zu generations on %llu bases, %zu segments, "
+              "%llu bytes, %llu compactions so far)\n\n",
+              dir.c_str(), index.generations.size(),
+              static_cast<unsigned long long>(index.Bases()),
+              index.segments.size(),
               static_cast<unsigned long long>(index.TotalBytes()),
               static_cast<unsigned long long>(index.compactions_run));
 
   if (!index.generations.empty()) {
-    TablePrinter table({"generation", "consistent through tick", "bytes",
-                        "next compaction"});
+    TablePrinter table({"generation", "kind", "consistent through tick",
+                        "base tick", "bytes", "next compaction"});
     for (const auto& gen : index.generations) {
-      table.AddRow({std::to_string(gen.seq),
+      table.AddRow({std::to_string(gen.seq), GenerationKind(gen),
                     std::to_string(gen.consistent_tick),
+                    std::to_string(gen.base_tick()),
                     std::to_string(gen.bytes),
                     Contains(plan.drop_generations, gen.seq) ? "DROP"
                                                              : "keep"});
