@@ -76,7 +76,6 @@ StatusOr<SkewFleetResult> RunSkewedFleet(const std::string& dir,
   // 20 Hz) keeps concurrent checkpoints off the device so each shard's
   // write time reflects its own dirty volume, not its queue position.
   config.checkpoint_period_ticks = 10;
-  config.threaded = true;
   // Adaptive stagger so the scheduler learns per-shard write-time EWMAs --
   // the measurement the rebalance contrast is about.
   config.adaptive = true;

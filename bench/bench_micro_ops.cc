@@ -148,7 +148,7 @@ void BM_LogStoreRestore8MB(benchmark::State& state) {
 }
 BENCHMARK(BM_LogStoreRestore8MB);
 
-// One double-backup checkpoint of an 8 MB image through the async
+// One double-backup checkpoint of an 8 MB image through the IO
 // backend, the way the engine writes it: header invalidate, the dirty
 // objects streamed through a CheckpointWriteSession's buffer ring into
 // in-place runs, then the data and header commit. Arg = percent of objects
@@ -159,7 +159,7 @@ void BM_BackupCheckpoint8MB(benchmark::State& state) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "tp_bench_backup").string();
   std::filesystem::remove_all(dir);
-  auto backend = IoBackend::Create(IoBackendKind::kAsync);
+  auto backend = IoBackend::Create();
   auto store_or = BackupStore::Open(dir, layout, /*fsync_enabled=*/false,
                                     backend.get());
   TP_CHECK_OK(store_or.status());

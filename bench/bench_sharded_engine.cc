@@ -5,14 +5,12 @@
 // actual ShardedEngine both ways and prints measured checkpoint write times
 // next to the model's projection.
 //
-// Three execution modes per shard count:
-//   inline    -- all shards multiplexed on one mutator thread (the PR-1
-//                facade, kept as the contention-free baseline for the loop
-//                itself)
-//   threaded  -- one mutator thread per shard (real zone-server pacing);
-//                synchronized vs fixed-staggered starts
-//   adaptive  -- threaded + the measured-write-time stagger planner, which
-//                keeps concurrent flushes within --budget
+// Every shard runs on its own mutator thread (real zone-server pacing).
+// Three schedules per shard count:
+//   synchronized -- every shard starts its checkpoint at the same tick
+//   staggered    -- fixed i * period / K start offsets
+//   adaptive     -- the measured-write-time stagger planner, which keeps
+//                   concurrent flushes within --budget
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -83,7 +81,7 @@ struct FleetResult {
 /// tick has run.
 StatusOr<FleetResult> RunFleet(const std::string& dir, const RunParams& params,
                                uint32_t num_shards, Schedule schedule,
-                               bool threaded, bool with_cut = false) {
+                               bool with_cut = false) {
   std::filesystem::remove_all(dir);
   ShardedEngineConfig config;
   config.shard.layout = params.layout;
@@ -95,7 +93,6 @@ StatusOr<FleetResult> RunFleet(const std::string& dir, const RunParams& params,
   config.staggered = schedule != Schedule::kSynchronized;
   config.adaptive = schedule == Schedule::kAdaptive;
   config.disk_budget = params.disk_budget;
-  config.threaded = threaded;
   TP_ASSIGN_OR_RETURN(auto fleet, Fleet::Create(dir, config));
 
   const uint64_t num_cells = params.layout.num_cells();
@@ -149,78 +146,6 @@ StatusOr<FleetResult> RunFleet(const std::string& dir, const RunParams& params,
   return result;
 }
 
-/// Stall samples from one fleet run under periodic consistent cuts: every
-/// shard's cut checkpoint record contributes its cut_stall_seconds (the
-/// mutator block inside the cut tick's EndTick). The sync IO backend
-/// writes the whole cut image inside that block; the async backend returns
-/// at the COW snapshot and finishes the write on the engine's writer
-/// thread, so its samples should collapse to the drain+snapshot time.
-struct StallResult {
-  std::vector<double> samples;
-  uint64_t cuts = 0;
-};
-
-double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const size_t last = samples.size() - 1;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(last) + 0.5);
-  if (idx > last) idx = last;
-  return samples[idx];
-}
-
-StatusOr<StallResult> RunStallFleet(const std::string& dir,
-                                    const RunParams& params,
-                                    uint32_t num_shards, IoBackendKind kind) {
-  std::filesystem::remove_all(dir);
-  ShardedEngineConfig config;
-  config.shard.layout = params.layout;
-  config.shard.algorithm = params.algorithm;
-  config.shard.dir = dir;
-  config.shard.fsync = params.fsync;
-  config.shard.io_backend = kind;
-  config.num_shards = num_shards;
-  config.checkpoint_period_ticks = params.period_ticks;
-  config.staggered = true;
-  config.threaded = true;
-  config.disk_budget = params.disk_budget;
-  TP_ASSIGN_OR_RETURN(auto fleet, Fleet::Create(dir, config));
-  const uint64_t num_cells = params.layout.num_cells();
-  StallResult result;
-  uint64_t cut_tick = 0;
-  bool cut_armed = false;
-  // Unpaced: the stall is measured inside EndTick, so pacing sleep would
-  // only stretch the run without changing the samples.
-  for (uint64_t tick = 0; tick < params.ticks; ++tick) {
-    if (!cut_armed && tick > 0 && tick % params.period_ticks == 0) {
-      TP_ASSIGN_OR_RETURN(cut_tick, fleet->RequestConsistentCut());
-      cut_armed = true;
-    }
-    fleet->BeginTick();
-    for (uint32_t shard = 0; shard < num_shards; ++shard) {
-      for (uint64_t i = 0; i < params.updates_per_tick; ++i) {
-        fleet->ApplyUpdate(shard, WorkloadCell(shard, tick, i, num_cells),
-                           static_cast<int32_t>(tick * 131 + i));
-      }
-    }
-    TP_RETURN_NOT_OK(fleet->EndTick());
-    if (cut_armed && tick == cut_tick) {
-      TP_RETURN_NOT_OK(fleet->CommitConsistentCut());
-      cut_armed = false;
-      ++result.cuts;
-    }
-  }
-  TP_RETURN_NOT_OK(fleet->Shutdown());
-  for (uint32_t shard = 0; shard < num_shards; ++shard) {
-    const auto& records = fleet->engine().shard(shard).metrics().checkpoints;
-    for (const EngineCheckpointRecord& record : records) {
-      if (record.cut) result.samples.push_back(record.cut_stall_seconds);
-    }
-  }
-  std::filesystem::remove_all(dir);
-  return result;
-}
-
 /// Per-tick cost of pushing a tick's batches through every mailbox AND
 /// having the runners consume them: unpaced ticks with the periodic
 /// checkpoint starts pushed past the run, timed from a warmed-up, drained
@@ -244,7 +169,6 @@ StatusOr<double> MeasureMailboxTick(const std::string& dir,
     config.num_shards = num_shards;
     config.checkpoint_period_ticks = params.ticks * 1000;
     config.staggered = true;
-    config.threaded = true;
     config.disk_budget = params.disk_budget;
     TP_ASSIGN_OR_RETURN(auto fleet, Fleet::Create(dir, config));
     const uint64_t num_cells = params.layout.num_cells();
@@ -413,19 +337,16 @@ struct FailoverRunResult {
 
 StatusOr<FailoverRunResult> RunFailoverFleet(const std::string& dir,
                                              const RunParams& params,
-                                             uint32_t num_shards,
-                                             IoBackendKind kind) {
+                                             uint32_t num_shards) {
   std::filesystem::remove_all(dir);
   ShardedEngineConfig config;
   config.shard.layout = params.layout;
   config.shard.algorithm = params.algorithm;
   config.shard.dir = dir;
   config.shard.fsync = params.fsync;
-  config.shard.io_backend = kind;
   config.num_shards = num_shards;
   config.checkpoint_period_ticks = params.period_ticks;
   config.staggered = true;
-  config.threaded = true;
   config.disk_budget = params.disk_budget;
   config.replicate = true;
   TP_ASSIGN_OR_RETURN(auto fleet, Fleet::Create(dir, config));
@@ -472,7 +393,6 @@ StatusOr<FailoverRunResult> RunFailoverFleet(const std::string& dir,
 int main(int argc, char** argv) {
   bench::BenchContext ctx(argc, argv, "bench_sharded_engine",
                           "Extension: measured K-shard checkpointing -- "
-                          "inline facade vs per-shard mutator threads, "
                           "synchronized vs staggered vs adaptive starts on "
                           "one disk (real-engine counterpart of "
                           "bench_shard_stagger)");
@@ -524,24 +444,21 @@ int main(int argc, char** argv) {
   struct RowSpec {
     uint32_t shards;
     Schedule schedule;
-    bool threaded;
   };
   const RowSpec rows[] = {
-      {1, Schedule::kStaggered, true},  // solo baseline
-      {2, Schedule::kStaggered, false},
-      {2, Schedule::kSynchronized, true},
-      {2, Schedule::kStaggered, true},
-      {2, Schedule::kAdaptive, true},
-      {4, Schedule::kStaggered, false},
-      {4, Schedule::kSynchronized, true},
-      {4, Schedule::kStaggered, true},
-      {4, Schedule::kAdaptive, true},
+      {1, Schedule::kStaggered},  // solo baseline
+      {2, Schedule::kSynchronized},
+      {2, Schedule::kStaggered},
+      {2, Schedule::kAdaptive},
+      {4, Schedule::kSynchronized},
+      {4, Schedule::kStaggered},
+      {4, Schedule::kAdaptive},
       // Mailbox-scaling rows: wide fleets stress the submit path itself
       // (K rings fed from one mutator thread), which is what the lock-free
       // mailbox is for. The controlled mutex-vs-ring comparison runs in
       // the dedicated mailbox section below.
-      {8, Schedule::kStaggered, true},
-      {16, Schedule::kStaggered, true},
+      {8, Schedule::kStaggered},
+      {16, Schedule::kStaggered},
   };
 
   // Median mailbox tick cost measured by the mailbox section of this
@@ -606,7 +523,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
     bench::Emit(mailbox_table, ctx.csv());
     std::printf(
-        "\n# mailbox: median per-tick cost of pushing a wide threaded "
+        "\n# mailbox: median per-tick cost of pushing a wide "
         "fleet's tick batches through every mailbox AND draining them "
         "(checkpoint starts pushed past the run, unpaced, timed from a "
         "warmed-up drained start through the final WaitForIdle), over %d "
@@ -627,13 +544,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  TablePrinter table({"shards", "mode", "schedule", "ckpts", "avg write",
+  TablePrinter table({"shards", "schedule", "ckpts", "avg write",
                       "max write", "avg pause", "defer", "vs solo",
                       "avg tick", "model"});
   double solo_avg = 0.0;
   for (const RowSpec& row : rows) {
-    auto result_or =
-        RunFleet(dir, params, row.shards, row.schedule, row.threaded);
+    auto result_or = RunFleet(dir, params, row.shards, row.schedule);
     if (!result_or.ok()) {
       std::fprintf(stderr, "run failed: %s\n",
                    result_or.status().ToString().c_str());
@@ -650,10 +566,7 @@ int main(int argc, char** argv) {
         row.schedule == Schedule::kSynchronized && row.shards > 1
             ? model_solo * row.shards
             : model_solo;
-    const char* mode = row.shards == 1 ? "solo"
-                                       : (row.threaded ? "threaded" : "inline");
-    table.AddRow({std::to_string(row.shards), mode,
-                  ScheduleName(row.schedule),
+    table.AddRow({std::to_string(row.shards), ScheduleName(row.schedule),
                   std::to_string(stats.checkpoints),
                   bench::Sec(stats.avg_total_seconds),
                   bench::Sec(stats.max_total_seconds),
@@ -662,7 +575,6 @@ int main(int argc, char** argv) {
                   bench::Sec(run.avg_tick_seconds()), bench::Sec(model)});
     json.AddRow("checkpoint")
         .Int("shards", row.shards)
-        .Str("mode", mode)
         .Str("schedule", ScheduleName(row.schedule))
         .Int("checkpoints", stats.checkpoints)
         .Num("avg_write_seconds", stats.avg_total_seconds)
@@ -699,9 +611,9 @@ int main(int argc, char** argv) {
                           "cut max tick"});
   for (const CutRowSpec& row : cut_rows) {
     auto base_or = RunFleet(dir, params, row.shards, row.schedule,
-                            /*threaded=*/true, /*with_cut=*/false);
+                            /*with_cut=*/false);
     auto cut_or = RunFleet(dir, params, row.shards, row.schedule,
-                           /*threaded=*/true, /*with_cut=*/true);
+                           /*with_cut=*/true);
     if (!base_or.ok() || !cut_or.ok()) {
       std::fprintf(stderr, "cut run failed: %s\n",
                    (!base_or.ok() ? base_or.status() : cut_or.status())
@@ -739,56 +651,6 @@ int main(int argc, char** argv) {
       "write blocking); expect the max stall to stay within a handful of "
       "tick periods of the staggered baseline's worst tick, and commit "
       "latency ~ cut lead + slowest shard's write\n");
-
-  // ---- Checkpoint stall: sync vs async IO backend ----
-  //
-  // The async-pipeline payoff row: a wide fleet takes periodic consistent
-  // cuts and every shard's cut record contributes one mutator-stall sample
-  // (the block inside the cut tick's EndTick). Under the sync backend the
-  // block includes the whole image write + fsync; under the async backend
-  // EndTick returns once the COW snapshot is taken and the write completes
-  // on the engine's writer thread, reaped at a later tick boundary -- so
-  // the async p99 should sit well below the sync p99.
-  {
-    constexpr uint32_t kStallShards = 8;
-    TablePrinter stall_table({"shards", "backend", "cuts", "samples",
-                              "stall p50", "stall p99", "stall max"});
-    for (const IoBackendKind kind :
-         {IoBackendKind::kSync, IoBackendKind::kAsync}) {
-      auto stall_or = RunStallFleet(dir, params, kStallShards, kind);
-      if (!stall_or.ok()) {
-        std::fprintf(stderr, "stall run failed: %s\n",
-                     stall_or.status().ToString().c_str());
-        return 1;
-      }
-      const StallResult& run = stall_or.value();
-      const double p50 = Percentile(run.samples, 0.5);
-      const double p99 = Percentile(run.samples, 0.99);
-      const double max = Percentile(run.samples, 1.0);
-      stall_table.AddRow({std::to_string(kStallShards),
-                          IoBackendKindName(kind),
-                          std::to_string(run.cuts),
-                          std::to_string(run.samples.size()),
-                          bench::Sec(p50), bench::Sec(p99), bench::Sec(max)});
-      json.AddRow("stall")
-          .Int("shards", kStallShards)
-          .Str("backend", IoBackendKindName(kind))
-          .Int("cuts", run.cuts)
-          .Int("samples", run.samples.size())
-          .Num("stall_p50_seconds", p50)
-          .Num("stall_p99_seconds", p99)
-          .Num("stall_max_seconds", max);
-    }
-    std::printf("\n");
-    bench::Emit(stall_table, ctx.csv());
-    std::printf(
-        "\n# stall: mutator-visible block inside the cut tick's EndTick, "
-        "one sample per shard per cut (%u shards, a cut every %llu ticks); "
-        "sync = drain + full image write + fsync inside the block, async = "
-        "drain + COW snapshot only (the write finishes on the writer "
-        "thread) -- expect the async p99 well below the sync p99\n",
-        kStallShards, static_cast<unsigned long long>(period));
-  }
 
   // ---- Zone migration at a committed cut (the rebalance cost row) ----
   //
@@ -843,17 +705,11 @@ int main(int argc, char** argv) {
   // FailoverShard's rebuild from the peer's in-memory delta ring. The two
   // results must digest-match; the ratio is what hot failover buys.
   {
-    TablePrinter failover_table({"shards", "backend", "crash tick",
-                                 "peer rebuild", "disk recover", "speedup",
-                                 "resume", "exact"});
-    const struct {
-      uint32_t shards;
-      IoBackendKind kind;
-    } failover_rows[] = {{2, IoBackendKind::kSync},
-                         {4, IoBackendKind::kSync},
-                         {4, IoBackendKind::kAsync}};
-    for (const auto& row : failover_rows) {
-      auto result_or = RunFailoverFleet(dir, params, row.shards, row.kind);
+    TablePrinter failover_table({"shards", "crash tick", "peer rebuild",
+                                 "disk recover", "speedup", "resume",
+                                 "exact"});
+    for (const uint32_t shards : {2u, 4u}) {
+      auto result_or = RunFailoverFleet(dir, params, shards);
       if (!result_or.ok()) {
         std::fprintf(stderr, "failover run failed: %s\n",
                      result_or.status().ToString().c_str());
@@ -871,13 +727,12 @@ int main(int argc, char** argv) {
                     run.disk_recover_seconds * 1e3);
       std::snprintf(speedup_cell, sizeof(speedup_cell), "%.1fx", speedup);
       failover_table.AddRow(
-          {std::to_string(row.shards), IoBackendKindName(row.kind),
-           std::to_string(run.report.rebuilt_ticks), peer_cell, disk_cell,
+          {std::to_string(shards), std::to_string(run.report.rebuilt_ticks),
+           peer_cell, disk_cell,
            speedup_cell, bench::Sec(run.report.resume_seconds),
            run.report.used_peer_memory && run.digests_match ? "yes" : "NO"});
       json.AddRow("failover")
-          .Int("shards", row.shards)
-          .Str("backend", IoBackendKindName(row.kind))
+          .Int("shards", shards)
           .Int("crash_tick", run.report.rebuilt_ticks)
           .Bool("used_peer_memory", run.report.used_peer_memory)
           .Num("peer_rebuild_seconds", run.report.rebuild_seconds)
@@ -907,8 +762,7 @@ int main(int argc, char** argv) {
       "stays near solo (expect max write within ~1.2x of the solo row); "
       "adaptive keeps at most --budget flushes concurrent by planning "
       "starts from measured write-time EWMAs (defer counts budget "
-      "deferrals). threaded rows pace each shard on its own mutator "
-      "thread; the inline row multiplexes shards on one thread (the model "
+      "deferrals). Each shard paces on its own mutator thread (the model "
       "column is the cost-model projection from bench_shard_stagger at "
       "Table 3 bandwidth -- measured numbers track its shape, not its "
       "absolute seconds, on faster disks)\n");

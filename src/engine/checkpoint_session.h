@@ -13,10 +13,10 @@
 // only after the ticket of its last run has completed, so an async write
 // never reads bytes the next run is copying in. The ring depth is the
 // backend's queue depth: one buffer when the emit is synchronous (null
-// backend, e.g. LogStore appends, or the sync backend), a few when writes
-// complete off-thread. The destructor drains the backend, so an error or
-// crash-injection path that abandons a checkpoint mid-flight cannot free
-// a buffer under a pending write.
+// backend, e.g. LogStore appends), a few when writes complete off-thread.
+// The destructor drains the backend, so an error or crash-injection path
+// that abandons a checkpoint mid-flight cannot free a buffer under a
+// pending write.
 #ifndef TICKPOINT_ENGINE_CHECKPOINT_SESSION_H_
 #define TICKPOINT_ENGINE_CHECKPOINT_SESSION_H_
 

@@ -164,13 +164,12 @@ StatusOr<std::unique_ptr<BackupStore>> BackupStore::Open(
   for (int i = 0; i < 2; ++i) {
     store->paths_[i] = dir + "/" + ImageFileName(i);
   }
-  if (backend != nullptr) {
-    store->backend_ = backend;
-  } else {
-    store->owned_backend_ = IoBackend::Create(IoBackendKind::kSync);
+  if (!writable) return store;
+  store->backend_ = backend;
+  if (backend == nullptr) {
+    store->owned_backend_ = IoBackend::Create();
     store->backend_ = store->owned_backend_.get();
   }
-  if (!writable) return store;
   TP_RETURN_NOT_OK(EnsureDirectory(dir));
   // The header protocol alone guards against torn writes; a doublewrite
   // region an older version staged here is dead weight.

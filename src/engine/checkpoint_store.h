@@ -69,11 +69,11 @@ class BackupStore {
   };
 
   /// Opens both backup files sized for `layout`. `backend` routes
-  /// WriteRange (null: the store owns a private synchronous backend). A
-  /// writable open creates the directory and the image files, and deletes
-  /// the doublewrite region older versions left beside them. With
-  /// `writable` false (recovery, inspection) the open creates and deletes
-  /// nothing, and only Inspect/ReadAll may be used.
+  /// WriteRange (null: a writable store owns a private one). A writable
+  /// open creates the directory and the image files, and deletes the
+  /// doublewrite region older versions left beside them. With `writable`
+  /// false (recovery, inspection) the open creates and deletes nothing,
+  /// starts no backend, and only Inspect/ReadAll may be used.
   static StatusOr<std::unique_ptr<BackupStore>> Open(
       const std::string& dir, const StateLayout& layout, bool fsync_enabled,
       IoBackend* backend = nullptr, bool writable = true);
@@ -128,8 +128,9 @@ class BackupStore {
   std::string paths_[2];
   IoFile files_[2];
 
-  /// Write routing. backend_ points at the engine-owned backend, or at
-  /// owned_backend_ when the caller supplied none.
+  /// Write routing (writable stores only). backend_ points at the
+  /// engine-owned backend, or at owned_backend_ when the caller supplied
+  /// none.
   IoBackend* backend_ = nullptr;
   std::unique_ptr<IoBackend> owned_backend_;
   StageCrashPoint stage_crash_point_ = StageCrashPoint::kNone;

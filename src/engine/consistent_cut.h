@@ -9,10 +9,12 @@
 //
 //   Phase 1 (prepare): the coordinator picks a cut tick T a few ticks
 //   ahead of the fleet tick. Every ShardRunner drains its mailbox up to T
-//   and checkpoints at exactly T -- overriding the stagger schedule for
-//   that one generation -- so each shard ends tick T with a durable image
-//   whose consistent tick is exactly T + 1. The shard's ack is the
-//   completed cut checkpoint record.
+//   and starts a checkpoint at exactly T -- overriding the stagger
+//   schedule for that one generation -- whose consistent tick is exactly
+//   T + 1. The mutator blocks only for the snapshot; the image is written
+//   on the shard's writer thread. The shard's ack is the completed cut
+//   checkpoint record, published when a later tick boundary reaps it (or
+//   reaped by the coordinator itself when the shard has gone idle).
 //
 //   Phase 2 (commit): only after ALL shards acked does the coordinator
 //   write the fleet-level cut manifest (shard count, per-shard checkpoint

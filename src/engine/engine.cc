@@ -195,10 +195,11 @@ Status Engine::RetireLogGenerationsBefore(uint64_t gen) {
 
 Status Engine::OpenStores() {
   TP_RETURN_NOT_OK(EnsureDirectory(config_.dir));
-  // One backend per engine: only the writer thread submits checkpoint
-  // writes, so a single bounded queue is the whole pipeline.
-  io_backend_ = IoBackend::Create(config_.io_backend);
   if (traits_.disk == DiskOrganization::kDoubleBackup) {
+    // One backend per engine: only the writer thread submits image
+    // writes, so a single bounded queue is the whole pipeline. (The log
+    // organization appends through its own FileWriter.)
+    io_backend_ = IoBackend::Create();
     TP_ASSIGN_OR_RETURN(
         backup_, BackupStore::Open(config_.dir, config_.layout, config_.fsync,
                                    io_backend_.get()));
@@ -319,26 +320,14 @@ Status Engine::EndTick() {
       }
       TP_ASSIGN_OR_RETURN(pause, StartCheckpoint(/*cut=*/true));
       last_start_tick_ = tick_;
-      if (config_.io_backend == IoBackendKind::kSync) {
-        // Sync backend: block until the cut image is durable; the whole
-        // block is the mutator stall the fleet bench reports.
-        WaitForJobDone();
-        TP_RETURN_NOT_OK(writer_status_);
-        cut_stall_seconds_ = SecondsSince(stall_start);
-        // The stall subsumes any eager-copy pause: report the whole block
-        // as this tick's overhead.
-        pause = cut_stall_seconds_;
-        FinalizeJob();
-      } else {
-        // Async pipeline: StartCheckpoint took the tick-T snapshot (the
-        // COW rule -- eager copy or cleared copy-bits), so the image's
-        // content is already decided; the write itself completes on the
-        // writer thread and is reaped at a later tick boundary (or by
-        // CompletePendingCheckpoint). The mutator-visible stall is the
-        // drain + snapshot only -- never the disk.
-        cut_stall_seconds_ = SecondsSince(stall_start);
-        pause = cut_stall_seconds_;
-      }
+      // StartCheckpoint took the tick-T snapshot (the COW rule -- eager
+      // copy or cleared copy-bits), so the image's content is already
+      // decided; the write itself completes on the writer thread and is
+      // reaped at a later tick boundary (or by CompletePendingCheckpoint).
+      // The mutator-visible stall is the drain + snapshot only -- never
+      // the disk.
+      cut_stall_seconds_ = SecondsSince(stall_start);
+      pause = cut_stall_seconds_;
     }
     const bool interval_elapsed =
         checkpoint_seq_ == 0 ||
@@ -491,9 +480,8 @@ void Engine::WriterMain() {
       writer_status_ = status;
     }
     {
-      // Publish under mu_ so a mutator blocked in WaitForJobDone (the
-      // synchronous cut path) re-checks its predicate under the same lock
-      // and can never miss this notify.
+      // Publish under mu_ so a mutator blocked in WaitForJobDone re-checks
+      // its predicate under the same lock and can never miss this notify.
       std::lock_guard<std::mutex> lock(mu_);
       job_done_.store(true, std::memory_order_release);
     }
@@ -622,7 +610,7 @@ Status Engine::ArchiveCompletedCheckpoint(const Job& job) {
 }
 
 Status Engine::CompletePendingCheckpoint() {
-  // The reap half of the async cut: wait for the writer to finish the
+  // The reap half of the cut: wait for the writer to finish the
   // in-flight job and fold its record into metrics. Callable only between
   // ticks, from the thread that drives EndTick (same ownership rules as
   // StartCheckpoint); a no-op when nothing is in flight.

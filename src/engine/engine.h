@@ -2,7 +2,9 @@
 // two validated algorithms to all six).
 //
 // Threading model: the caller's thread is the *mutator* (the game
-// simulation loop); one background *writer* thread flushes checkpoints.
+// simulation loop); one background *writer* thread flushes checkpoints,
+// handing double-backup image writes to the IoBackend's own writer thread
+// (util/io_backend.h).
 // Checkpoints start only at tick boundaries (EndTick), exploiting the
 // natural quiescence point of the discrete-event simulation loop.
 //
@@ -75,13 +77,9 @@ struct EngineConfig {
   /// true, EndTick starts a checkpoint only after ScheduleCheckpoint() was
   /// called, instead of applying the interval policy.
   bool manual_checkpoints = false;
-  /// How checkpoint image writes reach the disk (util/io_backend.h). A
-  /// runtime knob (default: TP_IO_BACKEND, else sync), never persisted:
-  /// the on-disk format is identical under both, so a directory written
-  /// async recovers sync and vice versa. kAsync additionally splits cut
-  /// checkpoints into submit (at the cut tick) and completion (reaped at a
-  /// later tick boundary), so the mutator never blocks on the cut write.
-  IoBackendKind io_backend = DefaultIoBackendKind();
+  /// How checkpoint image writes reach the disk (util/io_backend.h): a
+  /// writer thread, the only backend. Never persisted.
+  IoBackendKind io_backend = IoBackendKind::kAsync;
   /// Point-in-time recovery history (engine/history.h): when enabled,
   /// every completed checkpoint is additionally archived as a generation
   /// under `<dir>/history`, bounded by the policy. Persisted fleet-wide in
@@ -97,18 +95,15 @@ struct EngineCheckpointRecord {
   bool all_objects = false;
   bool full_flush = false;
   /// Consistent-cut checkpoint: started at exactly the coordinator's cut
-  /// tick. Sync backend: written synchronously inside the cut EndTick.
-  /// Async backend: the snapshot is taken at the cut tick and the write
-  /// completes on the writer, reaped at a later tick boundary.
+  /// tick. The snapshot is taken at the cut tick and the write completes
+  /// on the writer, reaped at a later tick boundary.
   bool cut = false;
   uint64_t objects_written = 0;
   uint64_t bytes_written = 0;
   double sync_seconds = 0.0;   // measured eager-copy pause
   double async_seconds = 0.0;  // measured writer wall time
-  /// Cut checkpoints only: total mutator block inside the cut EndTick.
-  /// Sync backend: draining the previous flush + the synchronous cut
-  /// write. Async backend: draining + the snapshot only -- the
-  /// mutator-visible stall the pipeline exists to shrink.
+  /// Cut checkpoints only: total mutator block inside the cut EndTick:
+  /// draining the previous flush + the snapshot, never the cut write.
   double cut_stall_seconds = 0.0;
 
   double TotalSeconds() const { return sync_seconds + async_seconds; }
@@ -187,11 +182,10 @@ class Engine {
   /// whose consistent tick is exactly that tick's end. Unlike
   /// ScheduleCheckpoint, the request cannot slip to a later tick: EndTick
   /// first drains any in-flight flush, then starts the cut checkpoint at
-  /// that exact tick. Under the sync backend it also blocks until the
-  /// image is durable; under the async backend EndTick returns once the
-  /// snapshot is taken and the write completes on the writer thread
-  /// (reaped by a later EndTick or CompletePendingCheckpoint). Either way
-  /// the mutator block is the cut's stall, reported in the record.
+  /// that exact tick. EndTick returns once the snapshot is taken; the
+  /// write completes on the writer thread and is reaped by a later
+  /// EndTick or CompletePendingCheckpoint. The mutator block is the cut's
+  /// stall, reported in the record.
   /// Safe to call from any thread; served by the next EndTick.
   void RequestCutCheckpoint() {
     cut_checkpoint_requested_.store(true, std::memory_order_release);
@@ -199,7 +193,7 @@ class Engine {
 
   /// Blocks until the in-flight checkpoint (if any) completes and its
   /// record is finalized; returns the writer's sticky status. The reap
-  /// half of the async cut path: the cut coordinator calls this on a
+  /// half of the cut path: the cut coordinator calls this on a
   /// quiesced engine (mutator parked between ticks) when the shard went
   /// idle before a later tick could finalize the record. Must be called
   /// with the engine quiesced, like any cross-thread engine access.
@@ -289,7 +283,7 @@ class Engine {
   StatusOr<double> StartCheckpoint(bool cut = false);
   void FinalizeJob();
   /// Blocks the mutator until the writer reports the in-flight job done
-  /// (the synchronous half of a cut checkpoint).
+  /// (the drain before a cut, and CompletePendingCheckpoint).
   void WaitForJobDone();
 
   void WriterMain();
@@ -317,7 +311,7 @@ class Engine {
   StateTable state_;
 
   /// Declared before the stores: they hold a raw pointer to it, so it must
-  /// be destroyed after them (and its destructor joins any async worker).
+  /// be destroyed after them (and its destructor joins its writer thread).
   std::unique_ptr<IoBackend> io_backend_;
   std::unique_ptr<BackupStore> backup_;
   std::unique_ptr<LogStore> log_;

@@ -183,7 +183,7 @@ Status WriteFleetManifest(const std::string& root,
   header.checksum_state = shard.checksum_state ? 1 : 0;
   header.staggered = config.staggered ? 1 : 0;
   header.adaptive = config.adaptive ? 1 : 0;
-  header.threaded = config.threaded ? 1 : 0;
+  header.threaded = 1;  // a version-4 byte; every fleet is threaded
   ReplicationExt replication;
   replication.replica_depth = config.replica_depth;
   replication.replicate = config.replicate ? 1 : 0;
@@ -291,7 +291,6 @@ StatusOr<FleetManifest> ReadFleetManifestFile(const std::string& path) {
   config.cut_lead_ticks = header.cut_lead_ticks;
   config.staggered = header.staggered != 0;
   config.adaptive = header.adaptive != 0;
-  config.threaded = header.threaded != 0;
   ReplicationExt replication;
   RetentionExt retention;
   manifest.assignment.resize(num_partitions);

@@ -49,16 +49,16 @@ struct ShardedEngineConfig {
   uint64_t checkpoint_period_ticks = 8;
   /// Stagger shard starts by i * period / K (false = synchronized).
   bool staggered = true;
-  /// Run each shard on its own mutator thread (see sharded_engine.h).
-  /// false = drive every shard inline from the caller's thread: the PR-1
-  /// facade, kept for comparison benches and deterministic unit tests.
+  /// Shards always run on their own mutator threads (see
+  /// sharded_engine.h); Create rejects false. Kept only because existing
+  /// configs assign it. Written to the manifest as 1, never read back.
   bool threaded = true;
   /// Adaptive stagger: learn measured write times and keep concurrent
   /// flushes at or below `disk_budget` (see StaggerConfig).
   bool adaptive = false;
   uint32_t disk_budget = 1;
-  /// Threaded mode: max ticks a shard's mailbox may lag behind the facade
-  /// before EndTick blocks (bounds memory under a slow shard).
+  /// Max ticks a shard's mailbox may lag behind the facade before EndTick
+  /// blocks (bounds memory under a slow shard).
   uint64_t max_queue_ticks = 64;
   /// How far ahead of the fleet tick RequestConsistentCut places the cut
   /// tick T: enough lead for every shard to reach T in stride instead of
@@ -106,8 +106,7 @@ struct FleetManifest {
   /// full-flush period, logical-sync cadence, fsync, state checksums,
   /// retention, and every scheduler and replication knob. Not persisted,
   /// and read back as: `shard.dir` = the fleet root, and every other
-  /// EngineConfig field at its default (`io_backend` =
-  /// DefaultIoBackendKind()).
+  /// EngineConfig field at its default.
   ShardedEngineConfig config;
 
   /// Shard directory of partition `p` per the assignment, honouring the

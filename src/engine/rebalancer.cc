@@ -32,7 +32,13 @@ uint32_t Rebalancer::HotStreak(uint32_t p) const {
 
 bool Rebalancer::SampleRates(const ShardedEngine& engine) {
   const uint32_t k = engine.num_shards();
-  const uint64_t boundary = engine.CommonMarksBoundary();
+  // Never the boundary the facade just submitted: whether the runners
+  // finish that tick before this read is a race, and winning it once
+  // would make the next boundary uninformative. One boundary behind, a
+  // paced fleet observes the same ticks at every boundary.
+  const uint64_t tick = engine.current_tick();
+  const uint64_t boundary =
+      std::min(engine.CommonMarksBoundary(), tick > 0 ? tick - 1 : 0);
   if (sample_boundary_ != kNoSample && boundary <= sample_boundary_) {
     return false;  // no tick has completed on every runner since
   }
@@ -93,10 +99,10 @@ Status Rebalancer::OnTickBoundary(ShardedEngine* engine) {
 
   // Sample EVERY boundary, whatever the phase, so the rates track the
   // runners as closely as the facade sees them. An UNINFORMATIVE boundary
-  // (no tick completed on every runner since the last sample -- threaded
-  // runners lagging the facade) updates nothing and earns no warmup
-  // credit, but an armed cut still commits below: the cut tick passing is
-  // a property of the fleet clock, not of observed write traffic.
+  // (no tick completed on every runner since the last sample -- runners
+  // lagging the facade) updates nothing and earns no warmup credit, but
+  // an armed cut still commits below: the cut tick passing is a property
+  // of the fleet clock, not of observed write traffic.
   const bool informative = SampleRates(*engine);
   if (informative) ++boundaries_seen_;
 

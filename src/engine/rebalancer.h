@@ -92,11 +92,13 @@ struct RebalanceEvent {
 ///                  (ShardedEngine::CommonMarksBoundary), the newest tick
 ///                  every runner has applied, from the runners'
 ///                  tick-stamped samples -- so every partition's window
-///                  covers the same ticks however far apart the threaded
-///                  runners are, and a runner that is ahead never looks
-///                  hot. A facade boundary at which that common boundary
-///                  has not moved is uninformative: it leaves the rates,
-///                  streaks, and warmup count untouched.
+///                  covers the same ticks however far apart the runners
+///                  are, and a runner that is ahead never looks hot. The
+///                  read stops one boundary short of the facade's, whose
+///                  tick the runners may or may not have applied yet. A
+///                  facade boundary at which the read boundary has not
+///                  moved is uninformative: it leaves the rates, streaks,
+///                  and warmup count untouched.
 ///   kCutRequested  keep ticking until the fleet tick passes the cut
 ///                  tick, then CommitConsistentCut + MigratePartition
 ///                  (to a freshly spawned slot, under the policy's mount

@@ -46,10 +46,9 @@ class Backoff {
 }  // namespace
 
 ShardRunner::ShardRunner(uint32_t shard_id, std::unique_ptr<Engine> engine,
-                         bool threaded, uint64_t max_queue_ticks,
+                         uint64_t max_queue_ticks,
                          CheckpointObserver observer)
     : shard_id_(shard_id),
-      threaded_(threaded),
       engine_(std::move(engine)),
       observer_(std::move(observer)),
       mailbox_(static_cast<size_t>(max_queue_ticks)),
@@ -57,9 +56,7 @@ ShardRunner::ShardRunner(uint32_t shard_id, std::unique_ptr<Engine> engine,
   TP_CHECK(engine_ != nullptr);
   TP_CHECK(max_queue_ticks > 0);
   PublishMarks();
-  if (threaded_) {
-    thread_ = std::thread([this] { ThreadMain(); });
-  }
+  thread_ = std::thread([this] { ThreadMain(); });
 }
 
 ShardRunner::~ShardRunner() { Stop(); }
@@ -91,12 +88,6 @@ void ShardRunner::PublishMarks() {
 }
 
 void ShardRunner::SubmitTick(ShardTickBatch batch) {
-  if (!threaded_) {
-    ++ticks_submitted_;
-    ProcessBatch(batch);
-    ticks_completed_.fetch_add(1, std::memory_order_release);
-    return;
-  }
   TP_CHECK(!stop_.load(std::memory_order_relaxed));
   // Backpressure: bound how far the fleet can run ahead of a slow shard.
   // TryPush fails only while the ring holds max_queue_ticks batches; the
@@ -116,33 +107,31 @@ void ShardRunner::SubmitTick(ShardTickBatch batch) {
 }
 
 Status ShardRunner::Drain() {
-  if (threaded_) {
-    // Announce the target, then wait on the drain generation: the
-    // consumer notifies it exactly once, when the completion count
-    // reaches the target, so the producer does not wake (and burn the
-    // core) on every intermediate completion. The seq_cst store of the
-    // target before the seq_cst completion re-check pairs with the
-    // consumer's completion bump before its target read -- one side of
-    // that Dekker handshake always observes the other.
-    const uint64_t target = ticks_submitted_;
-    drain_target_.store(target, std::memory_order_seq_cst);
-    Backoff backoff;
-    for (;;) {
-      if (ticks_completed_.load(std::memory_order_seq_cst) >= target) break;
-      if (backoff.Spin()) continue;
-      const uint32_t seen = drain_gen_.load(std::memory_order_acquire);
-      if (ticks_completed_.load(std::memory_order_seq_cst) >= target) break;
-      drain_gen_.wait(seen, std::memory_order_acquire);
-    }
-    // Disarm so steady-state completions skip the target check's notify
-    // (0 is never a live target: a zero-submission drain never waits).
-    drain_target_.store(0, std::memory_order_relaxed);
+  // Announce the target, then wait on the drain generation: the consumer
+  // notifies it exactly once, when the completion count reaches the
+  // target, so the producer does not wake (and burn the core) on every
+  // intermediate completion. The seq_cst store of the target before the
+  // seq_cst completion re-check pairs with the consumer's completion bump
+  // before its target read -- one side of that Dekker handshake always
+  // observes the other.
+  const uint64_t target = ticks_submitted_;
+  drain_target_.store(target, std::memory_order_seq_cst);
+  Backoff backoff;
+  for (;;) {
+    if (ticks_completed_.load(std::memory_order_seq_cst) >= target) break;
+    if (backoff.Spin()) continue;
+    const uint32_t seen = drain_gen_.load(std::memory_order_acquire);
+    if (ticks_completed_.load(std::memory_order_seq_cst) >= target) break;
+    drain_gen_.wait(seen, std::memory_order_acquire);
   }
+  // Disarm so steady-state completions skip the target check's notify
+  // (0 is never a live target: a zero-submission drain never waits).
+  drain_target_.store(0, std::memory_order_relaxed);
   return status();
 }
 
 void ShardRunner::Stop() {
-  if (!threaded_ || !thread_.joinable()) return;
+  if (!thread_.joinable()) return;
   stop_.store(true, std::memory_order_release);
   // Wake a consumer parked on an empty mailbox so it can observe stop_.
   submit_signal_.fetch_add(1, std::memory_order_release);
@@ -238,16 +227,14 @@ void ShardRunner::ProcessBatch(const ShardTickBatch& batch) {
   PublishMarks();
   const auto& records = engine_->metrics().checkpoints;
   if (pending_cut_tick_ != ShardRunner::kNoCutTick) {
-    // Under the sync IO backend the cut record lands inside the cut
-    // tick's own EndTick; under the async backend the write completes on
-    // the engine's writer thread and the record is only reaped at a LATER
-    // tick's EndTick -- so keep scanning after every successful tick until
-    // it shows up. Publish the ack slot (payload first, then the release
-    // flag) only while the coordinator's armed tick still matches this
-    // pending cut: a cut the coordinator force-reaped itself (it
-    // completed the checkpoint while this runner sat idle) is dropped
-    // silently, so its record can never be re-published into a later
-    // cut's slot.
+    // The cut's write completes on the engine's writer thread and its
+    // record is only reaped at a LATER tick's EndTick -- so keep scanning
+    // after every successful tick until it shows up. Publish the ack slot
+    // (payload first, then the release flag) only while the
+    // coordinator's armed tick still matches this pending cut: a cut the
+    // coordinator force-reaped itself (it completed the checkpoint while
+    // this runner sat idle) is dropped silently, so its record can never
+    // be re-published into a later cut's slot.
     for (size_t i = records.size(); i-- > 0;) {
       if (records[i].cut && records[i].start_tick == pending_cut_tick_) {
         if (armed_cut_tick_.load(std::memory_order_acquire) ==

@@ -9,7 +9,9 @@
 // scheduler's checkpoint decision. The runner applies batches in order on
 // its own thread (the engine's mutator thread in the Engine thread-safety
 // contract); the engine's writer thread continues to flush checkpoints
-// underneath it, so a K-shard fleet runs 2K threads plus the caller.
+// underneath it, so a K-shard fleet runs 2K threads plus the caller (3K
+// under the double-backup organization, whose image writes go through
+// one more IoBackend writer thread per engine).
 //
 // The mailbox contract (unchanged from the mutex+cv generation, asserted
 // by tests/shard_runner_test.cc):
@@ -73,7 +75,7 @@ struct ShardTickBatch {
   /// Stagger scheduler's decision: begin a checkpoint at this tick's end.
   bool start_checkpoint = false;
   /// Consistent-cut coordinator's decision: this tick is the fleet cut
-  /// tick -- the shard must end it with a durable checkpoint at exactly
+  /// tick -- the shard must end it by starting a checkpoint at exactly
   /// this tick (Engine::RequestCutCheckpoint semantics). Implies
   /// start_checkpoint.
   bool cut_checkpoint = false;
@@ -82,18 +84,17 @@ struct ShardTickBatch {
 class ShardRunner {
  public:
   /// Invoked once per completed checkpoint, from the runner's mutator
-  /// thread (threaded mode) or the caller's thread (inline mode):
-  /// (shard id, the finished record, tick at whose end it finished). Used
-  /// to feed measured write times back into the adaptive stagger.
+  /// thread: (shard id, the finished record, tick at whose end it
+  /// finished). Used to feed measured write times back into the adaptive
+  /// stagger.
   using CheckpointObserver = std::function<void(
       uint32_t shard, const EngineCheckpointRecord& record,
       uint64_t completion_tick)>;
 
   /// One shard's durable consistent-cut acknowledgement: published by the
-  /// runner the moment its cut checkpoint record lands -- inside the cut
-  /// tick's EndTick under the sync IO backend, at a later tick's reap
-  /// under the async backend -- folded wait-free by the cut coordinator
-  /// (no runner barrier, no shared mutex).
+  /// runner the moment its cut checkpoint record lands (at a later tick's
+  /// reap) -- folded wait-free by the cut coordinator (no runner barrier,
+  /// no shared mutex).
   struct CutAck {
     uint64_t checkpoint_seq = 0;
     uint64_t consistent_ticks = 0;
@@ -101,14 +102,11 @@ class ShardRunner {
     double stall_seconds = 0.0;
   };
 
-  /// Takes ownership of `engine`. threaded=true spawns the mutator thread;
-  /// threaded=false applies batches synchronously on the submitting thread
-  /// (the PR-1 facade behavior, kept for comparison benches and
-  /// deterministic tests). `max_queue_ticks` bounds the mailbox: SubmitTick
-  /// blocks while the shard lags that many ticks behind the producer.
+  /// Takes ownership of `engine` and spawns the mutator thread.
+  /// `max_queue_ticks` bounds the mailbox: SubmitTick blocks while the
+  /// shard lags that many ticks behind the producer.
   ShardRunner(uint32_t shard_id, std::unique_ptr<Engine> engine,
-              bool threaded, uint64_t max_queue_ticks,
-              CheckpointObserver observer);
+              uint64_t max_queue_ticks, CheckpointObserver observer);
 
   /// Stops the mutator thread (draining the mailbox first). Does NOT shut
   /// down the engine -- the owner decides between Shutdown and
@@ -119,8 +117,7 @@ class ShardRunner {
   ShardRunner& operator=(const ShardRunner&) = delete;
 
   /// Hands the runner one tick's batch. Ticks must be submitted in order.
-  /// Threaded: enqueues (blocking on a full mailbox) and returns; inline:
-  /// applies before returning.
+  /// Enqueues (blocking on a full mailbox) and returns.
   void SubmitTick(ShardTickBatch batch);
 
   /// Blocks until every submitted batch is consumed, then returns the
@@ -198,8 +195,7 @@ class ShardRunner {
   std::optional<uint64_t> MarksAt(uint64_t boundary) const;
 
   /// The owned engine. Per the Engine thread-safety contract, callers may
-  /// touch it only while the runner is quiesced (after Drain/Stop, or
-  /// inline mode).
+  /// touch it only while the runner is quiesced (after Drain/Stop).
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
 
@@ -237,7 +233,6 @@ class ShardRunner {
   void PublishMarks();
 
   const uint32_t shard_id_;
-  const bool threaded_;
   std::unique_ptr<Engine> engine_;
   CheckpointObserver observer_;
   size_t checkpoints_reported_ = 0;  // mutator thread only
@@ -285,8 +280,8 @@ class ShardRunner {
   std::atomic<uint64_t> armed_cut_tick_{kNoCutTick};
   /// The cut this runner still owes an ack for (kNoCutTick when none).
   /// Mutator thread only: set when the cut batch is processed, cleared
-  /// when its record is found (async backends finalize the record at a
-  /// later tick's EndTick, so the scan repeats each tick until then).
+  /// when its record is found (the engine finalizes the record at a later
+  /// tick's EndTick, so the scan repeats each tick until then).
   uint64_t pending_cut_tick_ = kNoCutTick;
 
   /// One tick-stamped dirty-mark sample, written seqlock-style: the stamp

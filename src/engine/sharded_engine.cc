@@ -36,6 +36,13 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
   if (config.shard.dir.empty()) {
     return Status::InvalidArgument("ShardedEngineConfig.shard.dir must be set");
   }
+  if (!config.threaded) {
+    // Every shard runs on its own mutator thread; the field remains only
+    // because existing configs still assign it.
+    return Status::InvalidArgument(
+        "threaded must be true: shards always run on their own mutator "
+        "threads");
+  }
   if (config.max_queue_ticks == 0) {
     return Status::InvalidArgument("max_queue_ticks must be positive");
   }
@@ -199,8 +206,8 @@ void ShardedEngine::HostReplicasOn(uint32_t host) {
 
 std::unique_ptr<ShardRunner> ShardedEngine::MakeRunner(
     uint32_t partition, std::unique_ptr<Engine> engine) {
-  // Measured checkpoint completions feed the adaptive stagger; in threaded
-  // mode the callbacks arrive on runner threads (the scheduler locks).
+  // Measured checkpoint completions feed the adaptive stagger; the
+  // callbacks arrive on runner threads (the scheduler locks).
   auto observer = [this](uint32_t shard,
                          const EngineCheckpointRecord& record,
                          uint64_t completion_tick) {
@@ -208,7 +215,6 @@ std::unique_ptr<ShardRunner> ShardedEngine::MakeRunner(
                                     record.TotalSeconds());
   };
   return std::make_unique<ShardRunner>(partition, std::move(engine),
-                                       config().threaded,
                                        config().max_queue_ticks, observer);
 }
 
@@ -324,10 +330,9 @@ Status ShardedEngine::CommitConsistentCut() {
   // release-published by its runner the instant the cut checkpoint record
   // lands, so the commit never quiesces the fleet -- shards keep consuming
   // post-cut ticks while the coordinator waits only for the slowest cut
-  // write itself. Under the async IO backend a runner finalizes the cut's
-  // record at a later tick's EndTick; when no later tick is coming (the
-  // runner went idle), the coordinator reaps the pending checkpoint
-  // itself below.
+  // write itself. A runner finalizes the cut's record at a later tick's
+  // EndTick; when no later tick is coming (the runner went idle), the
+  // coordinator reaps the pending checkpoint itself below.
   std::vector<CutShardRecord> acks;
   acks.reserve(runners_.size());
   double max_stall = 0.0;
@@ -344,13 +349,12 @@ Status ShardedEngine::CommitConsistentCut() {
         // Every submitted batch -- the cut tick's included (the tick_ >
         // cut_tick precondition above proved it was submitted) -- is fully
         // consumed and the runner is parked on an empty mailbox, yet no
-        // ack: under the
-        // async backend the cut's write may still be in flight on the
-        // shard's writer thread with no later tick coming to reap it.
-        // This thread is the runner's producer, so the idle state is
-        // stable and the ring's release/acquire pair makes the engine
-        // safe to touch: complete the pending checkpoint and synthesize
-        // the ack from its record.
+        // ack: the cut's write may still be in flight on the shard's
+        // writer thread with no later tick coming to reap it. This thread
+        // is the runner's producer, so the idle state is stable and the
+        // ring's release/acquire pair makes the engine safe to touch:
+        // complete the pending checkpoint and synthesize the ack from its
+        // record.
         if (runner.cut_acked()) break;  // the ack raced in; fold it
         const Status reap = runner.engine().CompletePendingCheckpoint();
         if (!reap.ok()) {

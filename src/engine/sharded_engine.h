@@ -3,11 +3,11 @@
 //
 // Each shard owns a disjoint state partition, its own logical log, and its
 // own checkpoint directory under the shared root -- exactly the layout a
-// multi-zone MMO server would run on one persistence disk. In threaded
-// mode (the default) every shard also owns a ShardRunner mutator thread:
-// the facade's BeginTick/ApplyUpdate/EndTick only assemble per-shard
-// update batches and mail them to the runners, which tick independently --
-// the fleet analogue of K zone servers on independent simulation loops.
+// multi-zone MMO server would run on one persistence disk. Every shard
+// also owns a ShardRunner mutator thread: the facade's
+// BeginTick/ApplyUpdate/EndTick only assemble per-shard update batches and
+// mail them to the runners, which tick independently -- the fleet
+// analogue of K zone servers on independent simulation loops.
 // The StaggerScheduler decides, per tick, which shards begin a checkpoint
 // (fixed i * period / K offsets, or the adaptive plan fed by measured
 // write times), so the synchronized-vs-staggered disk-contention tradeoff
@@ -102,8 +102,8 @@ struct FailoverReport {
 };
 
 /// A fleet of K engines sharing one disk. The facade itself is driven by
-/// one caller thread; in threaded mode the shards consume its ticks
-/// asynchronously on their own mutator threads.
+/// one caller thread; the shards consume its ticks asynchronously on their
+/// own mutator threads.
 class ShardedEngine {
  public:
   ~ShardedEngine();
@@ -123,8 +123,8 @@ class ShardedEngine {
   /// shard failure EVERY other shard still receives and finishes the tick,
   /// the first error is recorded, the fleet tick stays consistent, and the
   /// fleet hard-fails (failed() becomes true; only Shutdown/SimulateCrash
-  /// remain legal). In threaded mode an error can surface one or more
-  /// ticks after the EndTick that caused it.
+  /// remain legal). An error can surface one or more ticks after the
+  /// EndTick that caused it.
   Status EndTick();
 
   /// Barrier: blocks until every shard has consumed all submitted ticks,
@@ -264,8 +264,8 @@ class ShardedEngine {
 
   /// The newest tick boundary every partition has applied through: the
   /// latest point at which all partitions' dirty-mark counts cover the
-  /// same ticks. In threaded mode it trails current_tick() by however far
-  /// the slowest runner lags. Safe to poll from the facade thread while
+  /// same ticks. It trails current_tick() by however far the slowest
+  /// runner lags. Safe to poll from the facade thread while
   /// the runners keep ticking.
   uint64_t CommonMarksBoundary() const {
     uint64_t boundary = UINT64_MAX;
@@ -295,8 +295,8 @@ class ShardedEngine {
   /// True once a shard error hard-failed the fleet.
   bool failed() const { return failed_; }
 
-  /// Shard `i`'s engine. Safe only while the fleet is quiesced (inline
-  /// mode, or after WaitForIdle/Shutdown/SimulateCrash).
+  /// Shard `i`'s engine. Safe only while the fleet is quiesced (after
+  /// WaitForIdle/Shutdown/SimulateCrash).
   Engine& shard(uint32_t i) { return runners_[i]->engine(); }
   const Engine& shard(uint32_t i) const { return runners_[i]->engine(); }
 

@@ -81,8 +81,8 @@ class StaggerScheduler {
 
   /// Adaptive mode: reports that the checkpoint `shard` started (the
   /// ShouldCheckpoint call that returned true) finished during the end of
-  /// tick `end_tick` after `write_seconds` of wall time. With the async IO
-  /// backend submit and completion are split across ticks: `end_tick` is
+  /// tick `end_tick` after `write_seconds` of wall time. Submit and
+  /// completion are split across ticks: `end_tick` is
   /// the boundary that reaped the finished job (ticks later than the
   /// start) and `write_seconds` spans the whole submit-to-completion
   /// window, so the EWMAs keep estimating the true flush occupancy the

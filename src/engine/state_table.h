@@ -70,13 +70,17 @@ class StateTable {
   void Clear();
 
  private:
+  /// Hands a buffer back to the process-wide free list of its size
+  /// (state_table.cc) instead of to malloc.
+  struct Recycle {
+    uint64_t bytes;
+    void operator()(uint8_t* p) const;
+  };
+
   StateLayout layout_;
   uint64_t buffer_bytes_;
   // 64-byte aligned so object copies never split cache lines.
-  struct AlignedFree {
-    void operator()(uint8_t* p) const { ::free(p); }
-  };
-  std::unique_ptr<uint8_t[], AlignedFree> data_;
+  std::unique_ptr<uint8_t[], Recycle> data_;
 };
 
 }  // namespace tickpoint

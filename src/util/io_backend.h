@@ -1,14 +1,12 @@
-// Pluggable write backends for the checkpoint pipeline (ROADMAP item 1).
+// The write backend of the checkpoint pipeline.
 //
-// The checkpoint stores used to push every byte through a buffered
-// FileWriter on whichever thread happened to flush; the write pipeline
-// instead submits positional writes to an IoBackend and waits for them at
-// explicit barriers, so the same store code runs synchronously (pwrite on
-// the submitting thread -- the crash-sweep baseline) or asynchronously
-// (io_uring when the build has liburing, otherwise a writer thread) with a
-// bounded in-flight depth. FileWriter (util/io.h) remains the right tool
+// The checkpoint stores submit positional writes to an IoBackend and wait
+// for them at explicit barriers. Create() builds one writer thread that
+// drains a bounded request queue, so the submitting thread overlaps its
+// copy work with the disk. FileWriter (util/io.h) remains the right tool
 // for manifests, logical logs, and the checkpoint log's appends; IoBackend
-// exists for the bulk image data path.
+// exists for the bulk image data path. The interface is virtual so tests
+// can substitute a backend that completes writes on demand.
 #ifndef TICKPOINT_UTIL_IO_BACKEND_H_
 #define TICKPOINT_UTIL_IO_BACKEND_H_
 
@@ -20,26 +18,12 @@
 
 namespace tickpoint {
 
-/// Which implementation Create() builds. A runtime knob, deliberately NOT
-/// persisted in any manifest: the on-disk format is identical under both
-/// backends, so the same directory can be written async and recovered sync
-/// (and every crash sweep runs against both).
+/// The one backend Create() builds: a bounded submission queue drained by
+/// a writer thread; SubmitWrite returns once queued. Kept as a one-value
+/// enum because EngineConfig::io_backend still names it.
 enum class IoBackendKind {
-  /// pwrite on the submitting thread; SubmitWrite completes before it
-  /// returns and WaitFor only reports the sticky status.
-  kSync,
-  /// Bounded submission queue drained off-thread (io_uring or a writer
-  /// thread); SubmitWrite returns once queued.
   kAsync,
 };
-
-const char* IoBackendKindName(IoBackendKind kind);
-
-/// Parses "sync"/"async" (InvalidArgument otherwise).
-StatusOr<IoBackendKind> ParseIoBackendKind(const std::string& name);
-
-/// Process-wide default, read once: TP_IO_BACKEND=sync|async, else kSync.
-IoBackendKind DefaultIoBackendKind();
 
 /// Unbuffered positional file over a raw descriptor: pwrite needs no
 /// shared stream position, so writes for one file may be issued from any
@@ -80,20 +64,16 @@ using IoTicket = uint64_t;
 
 class IoBackend {
  public:
-  /// Builds the backend for `kind`. `max_in_flight` bounds the async
+  /// Builds the writer-thread backend. `max_in_flight` bounds the
   /// submission queue; SubmitWrite blocks while that many writes are
   /// already queued (the bounded-depth contract -- a runaway checkpoint
   /// cannot buffer the whole image in the queue).
-  static std::unique_ptr<IoBackend> Create(IoBackendKind kind,
-                                           uint32_t max_in_flight = 8);
+  static std::unique_ptr<IoBackend> Create(uint32_t max_in_flight = 8);
 
   virtual ~IoBackend() = default;
 
-  virtual IoBackendKind kind() const = 0;
-
-  /// How many submitted writes may be outstanding at once: 1 for kSync
-  /// (a submission completes before it returns), the queue bound for
-  /// kAsync. Writers size their buffer rings by it.
+  /// How many submitted writes may be outstanding at once (the queue
+  /// bound). Writers size their buffer rings by it.
   virtual uint32_t queue_depth() const = 0;
 
   /// Queues `length` bytes at `data` for `file` at `offset` and returns

@@ -36,7 +36,6 @@ class LazyBackend : public IoBackend {
  public:
   explicit LazyBackend(uint32_t depth) : depth_(depth) {}
 
-  IoBackendKind kind() const override { return IoBackendKind::kAsync; }
   uint32_t queue_depth() const override { return depth_; }
 
   IoTicket SubmitWrite(IoFile*, uint64_t offset, const void* data,
@@ -187,35 +186,30 @@ TEST(CheckpointSessionTest, FullImageAllocatesAtMostRingDepthBuffers) {
     std::memcpy(state.data() + id * kObjectSize, ObjectBytes(id).data(),
                 kObjectSize);
   }
-  for (const IoBackendKind kind :
-       {IoBackendKind::kSync, IoBackendKind::kAsync}) {
-    SCOPED_TRACE(IoBackendKindName(kind));
-    auto backend = IoBackend::Create(kind);
-    IoFile file;
-    ASSERT_TRUE(file.OpenForUpdate(dir + "/image").ok());
-    {
-      CheckpointWriteSession session(
-          kObjectSize, backend.get(),
-          [&](ObjectId first, const uint8_t* data,
-              uint64_t count) -> StatusOr<IoTicket> {
-            return backend->SubmitWrite(&file, first * kObjectSize, data,
-                                        count * kObjectSize);
-          });
-      EXPECT_EQ(session.ring_depth(), backend->queue_depth());
-      for (ObjectId id = 0; id < kObjects; ++id) {
-        ASSERT_TRUE(session.Add(id, state.data() + id * kObjectSize).ok());
-      }
-      ASSERT_TRUE(session.Finish().ok());
-      EXPECT_LE(session.buffers_allocated(), session.ring_depth());
-      EXPECT_EQ(session.objects_added(), kObjects);
+  auto backend = IoBackend::Create();
+  IoFile file;
+  ASSERT_TRUE(file.OpenForUpdate(dir + "/image").ok());
+  {
+    CheckpointWriteSession session(
+        kObjectSize, backend.get(),
+        [&](ObjectId first, const uint8_t* data,
+            uint64_t count) -> StatusOr<IoTicket> {
+          return backend->SubmitWrite(&file, first * kObjectSize, data,
+                                      count * kObjectSize);
+        });
+    EXPECT_EQ(session.ring_depth(), backend->queue_depth());
+    for (ObjectId id = 0; id < kObjects; ++id) {
+      ASSERT_TRUE(session.Add(id, state.data() + id * kObjectSize).ok());
     }
-    std::string bytes;
-    ASSERT_TRUE(ReadFileToString(dir + "/image", &bytes).ok());
-    ASSERT_EQ(bytes.size(), state.size());
-    EXPECT_EQ(std::memcmp(bytes.data(), state.data(), state.size()), 0);
-    ASSERT_TRUE(file.Close().ok());
-    std::filesystem::remove(dir + "/image");
+    ASSERT_TRUE(session.Finish().ok());
+    EXPECT_LE(session.buffers_allocated(), session.ring_depth());
+    EXPECT_EQ(session.objects_added(), kObjects);
   }
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(dir + "/image", &bytes).ok());
+  ASSERT_EQ(bytes.size(), state.size());
+  EXPECT_EQ(std::memcmp(bytes.data(), state.data(), state.size()), 0);
+  ASSERT_TRUE(file.Close().ok());
   std::filesystem::remove_all(dir);
 }
 

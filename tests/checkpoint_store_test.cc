@@ -254,76 +254,67 @@ TEST_F(StoreTest, BackupStateCrcDetectsBitRot) {
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
 
-TEST_F(StoreTest, BackupRunsThroughEitherBackendRoundTrip) {
-  for (const IoBackendKind kind :
-       {IoBackendKind::kSync, IoBackendKind::kAsync}) {
-    SCOPED_TRACE(IoBackendKindName(kind));
-    std::filesystem::remove_all(dir_);
-    auto backend = IoBackend::Create(kind);
-    auto store_or = BackupStore::Open(dir_, layout_, false, backend.get());
-    ASSERT_TRUE(store_or.ok());
-    auto& store = *store_or.value();
-    StateTable state = MakeState(11);
-    ASSERT_TRUE(WriteTwoRunCheckpoint(store, 0, state, 5, 50).ok());
+TEST_F(StoreTest, BackupRunsThroughASuppliedBackendRoundTrip) {
+  auto backend = IoBackend::Create();
+  auto store_or = BackupStore::Open(dir_, layout_, false, backend.get());
+  ASSERT_TRUE(store_or.ok());
+  auto& store = *store_or.value();
+  StateTable state = MakeState(11);
+  ASSERT_TRUE(WriteTwoRunCheckpoint(store, 0, state, 5, 50).ok());
 
-    auto info = store.Inspect(0);
-    ASSERT_TRUE(info.ok());
-    EXPECT_TRUE(info->valid);
-    EXPECT_EQ(info->seq, 5u);
-    StateTable restored(layout_);
-    ASSERT_TRUE(store.ReadAll(0, &restored).ok());
-    EXPECT_TRUE(restored.ContentEquals(state));
-  }
+  auto info = store.Inspect(0);
+  ASSERT_TRUE(info.ok());
+  EXPECT_TRUE(info->valid);
+  EXPECT_EQ(info->seq, 5u);
+  StateTable restored(layout_);
+  ASSERT_TRUE(store.ReadAll(0, &restored).ok());
+  EXPECT_TRUE(restored.ContentEquals(state));
 }
 
-/// Every crash boundary of the direct protocol, under both backends: the
-/// target image is invalid afterwards and the sibling byte-identical.
+/// Every crash boundary of the direct protocol: the target image is
+/// invalid afterwards and the sibling byte-identical.
 TEST_F(StoreTest, BackupCrashSweepLeavesTargetInvalidAndSiblingIntact) {
   const uint64_t data_size = layout_.num_objects() * layout_.object_size;
   const uint64_t half_bytes = layout_.num_objects() / 2 * layout_.object_size;
-  for (const IoBackendKind kind :
-       {IoBackendKind::kSync, IoBackendKind::kAsync}) {
-    for (const BackupStore::StageCrashPoint point : kCrashPoints) {
-      SCOPED_TRACE(std::string(IoBackendKindName(kind)) + " crash point " +
-                   std::to_string(static_cast<int>(point)));
-      std::filesystem::remove_all(dir_);
-      StateTable old0 = MakeState(12);
-      StateTable old1 = MakeState(13);
-      StateTable next = MakeState(14);
-      {
-        auto backend = IoBackend::Create(kind);
-        auto store_or = BackupStore::Open(dir_, layout_, false, backend.get());
-        ASSERT_TRUE(store_or.ok());
-        auto& store = *store_or.value();
-        WriteFullImage(store, 0, old0, 1, 10);
-        WriteFullImage(store, 1, old1, 2, 20);
-        store.SetStageCrashPointForTest(point);
-        EXPECT_FALSE(WriteTwoRunCheckpoint(store, 0, next, 3, 30).ok());
-      }
-      // What reached the target before the crash: none of the new runs,
-      // the first only, or both.
-      const uint64_t landed =
-          point == BackupStore::StageCrashPoint::kAfterBegin      ? 0
-          : point == BackupStore::StageCrashPoint::kAfterFirstRun ? half_bytes
-                                                                  : data_size;
-      const std::string target = ImageDataBytes(0);
-      EXPECT_EQ(std::memcmp(target.data(), next.data(), landed), 0);
-      EXPECT_EQ(std::memcmp(target.data() + landed, old0.data() + landed,
-                            data_size - landed),
-                0);
-      auto reopened_or = BackupStore::Open(dir_, layout_, false, nullptr,
-                                           /*writable=*/false);
-      ASSERT_TRUE(reopened_or.ok());
-      auto& reopened = *reopened_or.value();
-      auto info0 = reopened.Inspect(0);
-      ASSERT_TRUE(info0.ok());
-      EXPECT_FALSE(info0->valid);
-      EXPECT_EQ(std::memcmp(ImageDataBytes(1).data(), old1.data(), data_size),
-                0);
-      StateTable restored(layout_);
-      ASSERT_TRUE(reopened.ReadAll(1, &restored).ok());
-      EXPECT_TRUE(restored.ContentEquals(old1));
+  for (const BackupStore::StageCrashPoint point : kCrashPoints) {
+    SCOPED_TRACE("crash point " + std::to_string(static_cast<int>(point)));
+    std::filesystem::remove_all(dir_);
+    StateTable old0 = MakeState(12);
+    StateTable old1 = MakeState(13);
+    StateTable next = MakeState(14);
+    {
+      auto backend = IoBackend::Create();
+      auto store_or = BackupStore::Open(dir_, layout_, false, backend.get());
+      ASSERT_TRUE(store_or.ok());
+      auto& store = *store_or.value();
+      WriteFullImage(store, 0, old0, 1, 10);
+      WriteFullImage(store, 1, old1, 2, 20);
+      store.SetStageCrashPointForTest(point);
+      EXPECT_FALSE(WriteTwoRunCheckpoint(store, 0, next, 3, 30).ok());
     }
+    // What reached the target before the crash: none of the new runs,
+    // the first only, or both.
+    const uint64_t landed =
+        point == BackupStore::StageCrashPoint::kAfterBegin      ? 0
+        : point == BackupStore::StageCrashPoint::kAfterFirstRun ? half_bytes
+                                                                : data_size;
+    const std::string target = ImageDataBytes(0);
+    EXPECT_EQ(std::memcmp(target.data(), next.data(), landed), 0);
+    EXPECT_EQ(std::memcmp(target.data() + landed, old0.data() + landed,
+                          data_size - landed),
+              0);
+    auto reopened_or = BackupStore::Open(dir_, layout_, false, nullptr,
+                                         /*writable=*/false);
+    ASSERT_TRUE(reopened_or.ok());
+    auto& reopened = *reopened_or.value();
+    auto info0 = reopened.Inspect(0);
+    ASSERT_TRUE(info0.ok());
+    EXPECT_FALSE(info0->valid);
+    EXPECT_EQ(std::memcmp(ImageDataBytes(1).data(), old1.data(), data_size),
+              0);
+    StateTable restored(layout_);
+    ASSERT_TRUE(reopened.ReadAll(1, &restored).ok());
+    EXPECT_TRUE(restored.ContentEquals(old1));
   }
 }
 

@@ -43,18 +43,15 @@ class FailoverTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  ShardedEngineConfig Config(uint32_t num_shards, bool threaded = true,
-                             IoBackendKind io = IoBackendKind::kSync) {
+  ShardedEngineConfig Config(uint32_t num_shards) {
     ShardedEngineConfig config;
     config.shard.layout = ShardLayout();
     config.shard.algorithm = AlgorithmKind::kCopyOnUpdate;
     config.shard.dir = dir_;
     config.shard.fsync = false;  // simulated crashes: page cache is durable
     config.shard.full_flush_period = 3;
-    config.shard.io_backend = io;
     config.num_shards = num_shards;
     config.checkpoint_period_ticks = 5;
-    config.threaded = threaded;
     config.replicate = true;
     return config;
   }
@@ -109,21 +106,16 @@ class FailoverTest : public ::testing::Test {
 
 // ---- Crash-at-every-tick sweep ----
 
-struct SweepCase {
-  uint32_t num_shards;
-  bool threaded;
-  IoBackendKind io;
-};
-
+/// The parameter is the shard count K.
 class FailoverSweepTest : public FailoverTest,
-                          public ::testing::WithParamInterface<SweepCase> {};
+                          public ::testing::WithParamInterface<uint32_t> {};
 
 TEST_P(FailoverSweepTest, CrashEveryTickRecoversFromPeerMemory) {
-  const SweepCase param = GetParam();
+  const uint32_t num_shards = GetParam();
   for (uint64_t crash_tick = 1; crash_tick <= 8; ++crash_tick) {
     SCOPED_TRACE("crash_tick=" + std::to_string(crash_tick));
     std::filesystem::remove_all(dir_);
-    const auto config = Config(param.num_shards, param.threaded, param.io);
+    const auto config = Config(num_shards);
     auto fleet_or = Fleet::Create(config.shard.dir, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
     Fleet& fleet = *fleet_or.value();
@@ -132,7 +124,7 @@ TEST_P(FailoverSweepTest, CrashEveryTickRecoversFromPeerMemory) {
     RunTicks(&engine, crash_tick, &reference);
 
     const uint32_t victim =
-        static_cast<uint32_t>(crash_tick % param.num_shards);
+        static_cast<uint32_t>(crash_tick % num_shards);
     ASSERT_TRUE(fleet.SimulateShardCrash(victim).ok());
     // The disk oracle first: peer-memory recovery must be byte-identical
     // to what a disk replay of the dead shard would have produced.
@@ -158,30 +150,17 @@ TEST_P(FailoverSweepTest, CrashEveryTickRecoversFromPeerMemory) {
     ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
     ASSERT_EQ(recovered_or->result().fleet.min_recovered_ticks,
               crash_tick + 4);
-    for (uint32_t i = 0; i < param.num_shards; ++i) {
+    for (uint32_t i = 0; i < num_shards; ++i) {
       EXPECT_TRUE(recovered_or->tables()[i].ContentEquals(reference[i]))
           << "shard " << i;
     }
   }
 }
 
-std::string SweepCaseName(const ::testing::TestParamInfo<SweepCase>& info) {
-  return "K" + std::to_string(info.param.num_shards) +
-         (info.param.threaded ? "" : "_inline") + "_" +
-         IoBackendKindName(info.param.io);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, FailoverSweepTest,
-    ::testing::ValuesIn(std::vector<SweepCase>{
-        {2, true, IoBackendKind::kSync},
-        {2, false, IoBackendKind::kSync},
-        {2, true, IoBackendKind::kAsync},
-        {4, true, IoBackendKind::kSync},
-        {4, false, IoBackendKind::kAsync},
-        {4, true, IoBackendKind::kAsync},
-    }),
-    SweepCaseName);
+INSTANTIATE_TEST_SUITE_P(Shapes, FailoverSweepTest, ::testing::Values(2u, 4u),
+                         [](const auto& info) {
+                           return "K" + std::to_string(info.param);
+                         });
 
 // ---- Fallback matrix ----
 

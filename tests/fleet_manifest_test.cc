@@ -53,7 +53,6 @@ class FleetManifestTest : public ::testing::Test {
     config.staggered = false;
     config.adaptive = true;
     config.disk_budget = 3;
-    config.threaded = false;
     config.max_queue_ticks = 17;
     config.cut_lead_ticks = 4;
     config.replica_peer = {1, 2, 0};  // the default ring, as Create resolves
@@ -142,7 +141,13 @@ TEST_F(FleetManifestTest, RoundTripsEveryField) {
   EXPECT_FALSE(config.staggered);
   EXPECT_TRUE(config.adaptive);
   EXPECT_EQ(config.disk_budget, 3u);
-  EXPECT_FALSE(config.threaded);
+  // Every fleet is threaded: the version-4 byte (offset 108 of the
+  // 112-byte header) is written as 1 and not read back.
+  EXPECT_TRUE(config.threaded);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(Path(9), &bytes).ok());
+  ASSERT_GT(bytes.size(), 108u);
+  EXPECT_EQ(bytes[108], 1);
   EXPECT_EQ(config.max_queue_ticks, 17u);
   EXPECT_EQ(config.cut_lead_ticks, 4u);
   EXPECT_TRUE(config.replicate);
@@ -151,7 +156,7 @@ TEST_F(FleetManifestTest, RoundTripsEveryField) {
   // Not persisted: the directory is the root the file lives in, and the
   // runtime knobs come back at their defaults.
   EXPECT_EQ(config.shard.dir, dir_);
-  EXPECT_EQ(config.shard.io_backend, DefaultIoBackendKind());
+  EXPECT_EQ(config.shard.io_backend, IoBackendKind::kAsync);
   EXPECT_FALSE(config.shard.manual_checkpoints);
   EXPECT_EQ(read.assignment, written.assignment);
   EXPECT_EQ(read.PartitionDir(dir_, 1), paths::ShardDir(dir_, 4));

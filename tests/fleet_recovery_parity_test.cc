@@ -63,7 +63,6 @@ class FleetRecoveryParityTest
     config.shard.retention.max_generations = 3;
     config.num_shards = num_shards();
     config.checkpoint_period_ticks = 4;
-    config.threaded = true;
     auto fleet_or = Fleet::Create(dir_, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
     Fleet& fleet = *fleet_or.value();

@@ -41,8 +41,7 @@ class FleetResumeTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  ShardedEngineConfig Config(AlgorithmKind kind, uint32_t num_shards,
-                             bool threaded = true) {
+  ShardedEngineConfig Config(AlgorithmKind kind, uint32_t num_shards) {
     ShardedEngineConfig config;
     config.shard.layout = ShardLayout();
     config.shard.algorithm = kind;
@@ -51,7 +50,6 @@ class FleetResumeTest : public ::testing::Test {
     config.shard.full_flush_period = 3;
     config.num_shards = num_shards;
     config.checkpoint_period_ticks = 5;
-    config.threaded = threaded;
     return config;
   }
 
@@ -120,18 +118,13 @@ class FleetResumeTest : public ::testing::Test {
   std::string dir_;
 };
 
-struct ResumeCase {
-  AlgorithmKind kind;
-  bool threaded;
-};
-
 class FleetResumeRoundTripTest
     : public FleetResumeTest,
-      public ::testing::WithParamInterface<ResumeCase> {};
+      public ::testing::WithParamInterface<AlgorithmKind> {};
 
 TEST_P(FleetResumeRoundTripTest, CrashResumeCrashRecover) {
-  const ResumeCase param = GetParam();
-  const auto config = Config(param.kind, 3, param.threaded);
+  const AlgorithmKind kind = GetParam();
+  const auto config = Config(kind, 3);
   constexpr uint64_t kFirstCrash = 13;
   constexpr uint64_t kSecondCrash = 27;
 
@@ -180,14 +173,14 @@ TEST_P(FleetResumeRoundTripTest, CrashResumeCrashRecover) {
   EXPECT_EQ(result.max_recovered_ticks, kSecondCrash + 1);
   for (uint32_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(final_state[i].ContentEquals(reference[i]))
-        << AlgorithmName(param.kind) << " shard " << i
+        << AlgorithmName(kind) << " shard " << i
         << " diverged after the resume";
   }
 }
 
-std::string ResumeCaseName(const ::testing::TestParamInfo<ResumeCase>& info) {
-  std::string name = std::string(GetTraits(info.param.kind).short_name) +
-                     (info.param.threaded ? "" : "_inline");
+std::string ResumeCaseName(
+    const ::testing::TestParamInfo<AlgorithmKind>& info) {
+  std::string name = GetTraits(info.param).short_name;
   for (auto& c : name) {
     if (c == '-') c = '_';
   }
@@ -196,13 +189,9 @@ std::string ResumeCaseName(const ::testing::TestParamInfo<ResumeCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOrganizations, FleetResumeRoundTripTest,
-    ::testing::ValuesIn(std::vector<ResumeCase>{
-        {AlgorithmKind::kCopyOnUpdate, true},
-        {AlgorithmKind::kCopyOnUpdate, false},
-        {AlgorithmKind::kCopyOnUpdatePartialRedo, true},
-        {AlgorithmKind::kDribble, true},
-        {AlgorithmKind::kNaiveSnapshot, true},
-    }),
+    ::testing::Values(AlgorithmKind::kCopyOnUpdate,
+                      AlgorithmKind::kCopyOnUpdatePartialRedo,
+                      AlgorithmKind::kDribble, AlgorithmKind::kNaiveSnapshot),
     ResumeCaseName);
 
 TEST_F(FleetResumeTest, CrashImmediatelyAfterResumeRecoversTheBootstrap) {

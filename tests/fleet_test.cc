@@ -42,9 +42,8 @@ class FleetTest : public ::testing::Test {
 
   /// A deliberately non-default config: the round-trip tests prove these
   /// values come back from the MANIFEST, not from defaults.
-  ShardedEngineConfig Config(uint32_t num_shards,
-                             AlgorithmKind kind = AlgorithmKind::kCopyOnUpdate,
-                             bool threaded = true) {
+  ShardedEngineConfig Config(
+      uint32_t num_shards, AlgorithmKind kind = AlgorithmKind::kCopyOnUpdate) {
     ShardedEngineConfig config;
     config.shard.layout = ShardLayout();
     config.shard.algorithm = kind;
@@ -52,7 +51,6 @@ class FleetTest : public ::testing::Test {
     config.shard.full_flush_period = 4;
     config.num_shards = num_shards;
     config.checkpoint_period_ticks = 5;
-    config.threaded = threaded;
     return config;
   }
 
@@ -364,21 +362,16 @@ TEST_F(FleetTest, CutRecoverySurvivesTheMigrationEpochBoundary) {
 // state exactly equal to the deterministic reference -- on BOTH sides of
 // the epoch boundary.
 
-struct MigrationCrashCase {
-  int crash_after_step;
-  bool threaded;
-};
-
+/// The parameter is the step the fleet crashes after.
 class FleetMigrationCrashSweepTest
     : public FleetTest,
-      public ::testing::WithParamInterface<MigrationCrashCase> {};
+      public ::testing::WithParamInterface<int> {};
 
 TEST_P(FleetMigrationCrashSweepTest, RecoversTopologyAndExactState) {
-  const MigrationCrashCase param = GetParam();
+  const int crash_after_step = GetParam();
   constexpr int kMigrationStep = 8;
   constexpr uint64_t kCutRequestAfterTicks = 4;  // cut lead 2 -> cut tick 6
-  const auto config =
-      Config(2, AlgorithmKind::kCopyOnUpdate, param.threaded);
+  const auto config = Config(2);
 
   std::vector<StateTable> reference;
   uint64_t cut_tick = 0;
@@ -387,7 +380,7 @@ TEST_P(FleetMigrationCrashSweepTest, RecoversTopologyAndExactState) {
     auto fleet_or = Fleet::Create(dir_, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
     Fleet& fleet = *fleet_or.value();
-    for (int step = 1; step <= param.crash_after_step; ++step) {
+    for (int step = 1; step <= crash_after_step; ++step) {
       if (step == kMigrationStep) {
         ASSERT_TRUE(fleet.CommitConsistentCut().ok());
         auto status = fleet.MigratePartition(1, 2);
@@ -406,9 +399,9 @@ TEST_P(FleetMigrationCrashSweepTest, RecoversTopologyAndExactState) {
     ASSERT_TRUE(fleet.SimulateCrash().ok());
   }
   const uint64_t expected_ticks =
-      param.crash_after_step < kMigrationStep
-          ? static_cast<uint64_t>(param.crash_after_step)
-          : static_cast<uint64_t>(param.crash_after_step - 1);
+      crash_after_step < kMigrationStep
+          ? static_cast<uint64_t>(crash_after_step)
+          : static_cast<uint64_t>(crash_after_step - 1);
 
   auto recovered_or = Fleet::Recover(dir_);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
@@ -422,8 +415,7 @@ TEST_P(FleetMigrationCrashSweepTest, RecoversTopologyAndExactState) {
   ASSERT_EQ(recovered.tables().size(), 2u);
   for (uint32_t p = 0; p < 2; ++p) {
     EXPECT_TRUE(recovered.tables()[p].ContentEquals(reference[p]))
-        << "partition " << p << " after crash step "
-        << param.crash_after_step;
+        << "partition " << p << " after crash step " << crash_after_step;
   }
   if (migrated) {
     // Both sides of the boundary stay reachable: the committed cut is
@@ -435,28 +427,10 @@ TEST_P(FleetMigrationCrashSweepTest, RecoversTopologyAndExactState) {
   }
 }
 
-std::vector<MigrationCrashCase> AllMigrationCrashCases() {
-  std::vector<MigrationCrashCase> cases;
-  for (int step = 1; step <= 13; ++step) {
-    cases.push_back({step, /*threaded=*/true});
-  }
-  // The inline facade takes the same sweep (deterministic single-thread
-  // scheduling) at the boundary-adjacent steps.
-  for (int step : {7, 8, 9}) {
-    cases.push_back({step, /*threaded=*/false});
-  }
-  return cases;
-}
-
-std::string MigrationCrashCaseName(
-    const ::testing::TestParamInfo<MigrationCrashCase>& info) {
-  return "step" + std::to_string(info.param.crash_after_step) +
-         (info.param.threaded ? "" : "_inline");
-}
-
 INSTANTIATE_TEST_SUITE_P(EveryStep, FleetMigrationCrashSweepTest,
-                         ::testing::ValuesIn(AllMigrationCrashCases()),
-                         MigrationCrashCaseName);
+                         ::testing::Range(1, 14), [](const auto& info) {
+                           return "step" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace tickpoint

@@ -1,7 +1,7 @@
 // Game-workload conformance: the Knights-and-Archers world driven through
 // the sharded checkpoint fleet (game/shard_adapter.h), with recovery
 // correctness reduced to an exact digest equality -- for K zones, either
-// disk organization, threaded or inline, and ANY crash tick, every
+// disk organization, and ANY crash tick, every
 // recovered partition must digest-equal the golden (uncrashed) run's zone
 // at the same world tick. This is the paper's own workload (Table 5)
 // finally exercising the fleet the synthetic sweeps validated.
@@ -52,8 +52,7 @@ class GameShardConformanceTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  GameShardAdapterConfig Config(AlgorithmKind kind, uint32_t num_zones,
-                                bool threaded) {
+  GameShardAdapterConfig Config(AlgorithmKind kind, uint32_t num_zones) {
     GameShardAdapterConfig config;
     config.zone_world = TinyZone();
     config.engine.shard.algorithm = kind;
@@ -62,7 +61,6 @@ class GameShardConformanceTest : public ::testing::Test {
     config.engine.shard.full_flush_period = 3;
     config.engine.num_shards = num_zones;
     config.engine.checkpoint_period_ticks = 4;
-    config.engine.threaded = threaded;
     return config;
   }
 
@@ -71,7 +69,7 @@ class GameShardConformanceTest : public ::testing::Test {
 
 /// Golden digests are a pure function of (zone template, K, cross-zone
 /// rules) -- not of the engine configuration -- so one replay per K serves
-/// every (algorithm, threaded, crash tick) case.
+/// every (algorithm, crash tick) case.
 const std::vector<std::vector<uint64_t>>& GoldenForZones(uint32_t num_zones,
                                                          uint64_t world_ticks) {
   static std::map<uint32_t, std::vector<std::vector<uint64_t>>> cache;
@@ -161,7 +159,6 @@ struct GameCrashCase {
   AlgorithmKind kind;
   uint32_t num_zones;
   uint64_t crash_tick;  // engine tick the fleet crashes after
-  bool threaded;
 };
 
 class GameShardCrashRecoveryTest
@@ -170,7 +167,7 @@ class GameShardCrashRecoveryTest
 
 TEST_P(GameShardCrashRecoveryTest, RecoveredZonesMatchTheGoldenDigest) {
   const GameCrashCase param = GetParam();
-  const auto config = Config(param.kind, param.num_zones, param.threaded);
+  const auto config = Config(param.kind, param.num_zones);
   auto adapter_or = GameShardAdapter::Open(config);
   ASSERT_TRUE(adapter_or.ok()) << adapter_or.status().ToString();
   GameShardAdapter& adapter = *adapter_or.value();
@@ -199,22 +196,19 @@ TEST_P(GameShardCrashRecoveryTest, RecoveredZonesMatchTheGoldenDigest) {
     EXPECT_EQ(TableStateDigest(recovered[z], config.zone_world.num_units),
               golden[world_tick][z])
         << AlgorithmName(param.kind) << " K=" << param.num_zones << " crash@"
-        << param.crash_tick << (param.threaded ? " threaded" : " inline")
-        << ": zone " << z << " recovered wrong";
+        << param.crash_tick << ": zone " << z << " recovered wrong";
   }
 }
 
 std::vector<GameCrashCase> AllGameCrashCases() {
   std::vector<GameCrashCase> cases;
   // Both disk organizations (double backup and log), K in {1, 2, 4},
-  // threaded and inline, crash at EVERY engine tick.
+  // crash at EVERY engine tick.
   for (AlgorithmKind kind : {AlgorithmKind::kCopyOnUpdate,
                              AlgorithmKind::kCopyOnUpdatePartialRedo}) {
     for (uint32_t num_zones : {1u, 2u, 4u}) {
-      for (bool threaded : {true, false}) {
-        for (uint64_t tick = 0; tick < kSweepTicks; ++tick) {
-          cases.push_back({kind, num_zones, tick, threaded});
-        }
+      for (uint64_t tick = 0; tick < kSweepTicks; ++tick) {
+        cases.push_back({kind, num_zones, tick});
       }
     }
   }
@@ -225,8 +219,7 @@ std::string GameCrashCaseName(
     const ::testing::TestParamInfo<GameCrashCase>& info) {
   std::string name = std::string(GetTraits(info.param.kind).short_name) +
                      "_k" + std::to_string(info.param.num_zones) + "_tick" +
-                     std::to_string(info.param.crash_tick) +
-                     (info.param.threaded ? "" : "_inline");
+                     std::to_string(info.param.crash_tick);
   for (auto& c : name) {
     if (c == '-') c = '_';
   }
@@ -256,8 +249,7 @@ TEST_F(GameShardConformanceTest, SoakK2LongRun) {
     // bound below; keep the default instead of hanging the suite.
     if (parsed > 0) ticks = parsed;
   }
-  auto config = Config(AlgorithmKind::kCopyOnUpdate, 2,
-                       /*threaded=*/true);
+  auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
   if (const char* env = std::getenv("TP_GAME_SOAK_UNITS")) {
     const uint64_t parsed = std::strtoull(env, nullptr, 10);
     if (parsed > 0) {
@@ -298,8 +290,7 @@ TEST_F(GameShardConformanceTest, MigrateZoneKeepsRecoveryExact) {
   // the move), so recovery correctness stays one digest equality per
   // zone -- now across a fleet epoch boundary, via the no-config
   // manifest-driven recovery.
-  const auto config = Config(AlgorithmKind::kCopyOnUpdate, 2,
-                             /*threaded=*/true);
+  const auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
   auto adapter_or = GameShardAdapter::Open(config);
   ASSERT_TRUE(adapter_or.ok()) << adapter_or.status().ToString();
   GameShardAdapter& adapter = *adapter_or.value();
@@ -332,7 +323,7 @@ TEST_F(GameShardConformanceTest, MigrateZoneKeepsRecoveryExact) {
 // ---- Seeded randomized game-crash fuzz ----
 
 TEST_F(GameShardConformanceTest, SeededRandomizedGameCrashFuzz) {
-  // Random (algorithm, K, threaded, parallel stepping, crash tick) shapes
+  // Random (algorithm, K, parallel stepping, crash tick) shapes
   // against the digest oracle. The seed is printed via SCOPED_TRACE on any
   // failure; set TP_GAME_FUZZ_SEED to replay a reported failure exactly
   // (the TP_FLEET_FUZZ_SEED pattern from the sharded-engine fuzz).
@@ -354,17 +345,15 @@ TEST_F(GameShardConformanceTest, SeededRandomizedGameCrashFuzz) {
   for (int iter = 0; iter < kIterations; ++iter) {
     const AlgorithmKind kind = kinds[rng() % std::size(kinds)];
     const uint32_t num_zones = 1 + static_cast<uint32_t>(rng() % 4);
-    const bool threaded = (rng() & 1) != 0;
     const bool parallel_step = (rng() & 1) != 0;
     const uint64_t crash_tick = rng() % 14;
     SCOPED_TRACE("iter " + std::to_string(iter) + ": " +
                  std::string(AlgorithmName(kind)) + " K=" +
                  std::to_string(num_zones) +
-                 (threaded ? " threaded" : " inline") +
                  (parallel_step ? " parallel" : " sequential") + " crash@" +
                  std::to_string(crash_tick));
 
-    auto config = Config(kind, num_zones, threaded);
+    auto config = Config(kind, num_zones);
     config.engine.shard.dir = dir_ + "/iter" + std::to_string(iter);
     config.parallel_step = parallel_step;
     auto adapter_or = GameShardAdapter::Open(config);

@@ -23,7 +23,6 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -760,7 +759,7 @@ class FleetPitTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   ShardedEngineConfig Config(
-      uint32_t num_shards, IoBackendKind backend = IoBackendKind::kSync,
+      uint32_t num_shards,
       AlgorithmKind algorithm = AlgorithmKind::kCopyOnUpdate) {
     ShardedEngineConfig config;
     config.shard.layout = ShardLayout();
@@ -768,12 +767,10 @@ class FleetPitTest : public ::testing::Test {
     config.shard.dir = dir_;
     config.shard.fsync = false;  // simulated crashes: page cache is durable
     config.shard.full_flush_period = 3;
-    config.shard.io_backend = backend;
     config.shard.retention.enabled = true;
     config.shard.retention.max_generations = 3;
     config.num_shards = num_shards;
     config.checkpoint_period_ticks = 5;
-    config.threaded = true;
     return config;
   }
 
@@ -877,18 +874,12 @@ std::string OrganizationName(AlgorithmKind algorithm) {
   return algorithm == AlgorithmKind::kPartialRedo ? "log" : "double_backup";
 }
 
-class FleetPitBackendTest
-    : public FleetPitTest,
-      public ::testing::WithParamInterface<
-          std::tuple<IoBackendKind, AlgorithmKind>> {};
-
 class FleetPitOrganizationTest
     : public FleetPitTest,
       public ::testing::WithParamInterface<AlgorithmKind> {};
 
-TEST_P(FleetPitBackendTest, EveryTickInTheWindowRestoresExactly) {
-  const auto config = Config(3, std::get<0>(GetParam()),
-                             std::get<1>(GetParam()));
+TEST_P(FleetPitOrganizationTest, EveryTickInTheWindowRestoresExactly) {
+  const auto config = Config(3, GetParam());
   // How many checkpoints a fixed tick count completes depends on writer
   // timing, so the fleet ticks until compaction has dropped every shard's
   // birth generation (consistent tick 0), bounded far above what an
@@ -962,18 +953,6 @@ TEST_P(FleetPitBackendTest, EveryTickInTheWindowRestoresExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothIoBackendsAndOrganizations, FleetPitBackendTest,
-    ::testing::Combine(::testing::Values(IoBackendKind::kSync,
-                                         IoBackendKind::kAsync),
-                       ::testing::ValuesIn(kBothOrganizations)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) == IoBackendKind::kSync
-                             ? "sync_"
-                             : "async_") +
-             OrganizationName(std::get<1>(info.param));
-    });
-
 TEST_F(FleetPitTest, WindowHoldsAtEveryCrashTick) {
   // Crash-at-every-phase sweep: whatever tick the fleet dies at -- before
   // the first periodic checkpoint, right after one, mid-period, after
@@ -1004,7 +983,7 @@ TEST_F(FleetPitTest, WindowHoldsAtEveryCrashTick) {
 }
 
 TEST_P(FleetPitOrganizationTest, ResumeStartsANewEpochAndRetiresTheOldFuture) {
-  const auto config = Config(2, IoBackendKind::kSync, GetParam());
+  const auto config = Config(2, GetParam());
   constexpr uint64_t kFirstRun = 18;
   constexpr uint64_t kSecondRun = 8;
   std::vector<StateTable> reference;
@@ -1095,7 +1074,7 @@ TEST_P(FleetPitOrganizationTest, TornHistoryIndexFallsBackToLatestRecovery) {
   // live images (or log generations, into history/), so ticks BEFORE the
   // resume point are reachable only through the history subsystem --
   // exactly the regime where a torn index must degrade cleanly.
-  const auto config = Config(2, IoBackendKind::kSync, GetParam());
+  const auto config = Config(2, GetParam());
   constexpr uint64_t kFirstRun = 14;
   std::vector<StateTable> reference;
   std::vector<std::vector<StateTable>> per_tick;
@@ -1155,7 +1134,7 @@ TEST_P(FleetPitOrganizationTest, DiskStaysBoundedAcrossCompactionCycles) {
   if (const char* soak = std::getenv("TP_HISTORY_SOAK_TICKS")) {
     total_ticks = std::max<uint64_t>(std::strtoull(soak, nullptr, 10), 20);
   }
-  const auto config = Config(2, IoBackendKind::kSync, GetParam());
+  const auto config = Config(2, GetParam());
   const StateLayout layout = ShardLayout();
   // Per retained generation, its file: an image copy, or a LogStore
   // generation counted once however many records share it -- one full

@@ -1,6 +1,6 @@
-// Tests for the pluggable checkpoint write backends: both kinds must
-// honor the ticket-frontier, sticky-error, and bounded-depth contracts
-// the checkpoint write pipeline is built on.
+// Tests for the checkpoint write backend: the writer thread must honor the
+// ticket-frontier, sticky-error, and bounded-depth contracts the
+// checkpoint write pipeline is built on.
 #include "util/io_backend.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 namespace tickpoint {
 namespace {
 
-class IoBackendTest : public ::testing::TestWithParam<IoBackendKind> {
+class IoBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = (std::filesystem::temp_directory_path() /
@@ -34,22 +34,13 @@ class IoBackendTest : public ::testing::TestWithParam<IoBackendKind> {
   std::string dir_;
 };
 
-TEST_P(IoBackendTest, KindRoundTrip) {
-  auto backend = IoBackend::Create(GetParam());
-  EXPECT_EQ(backend->kind(), GetParam());
-  auto parsed = ParseIoBackendKind(IoBackendKindName(GetParam()));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value(), GetParam());
+TEST_F(IoBackendTest, QueueDepthIsTheInFlightBound) {
+  auto backend = IoBackend::Create(/*max_in_flight=*/4);
+  EXPECT_EQ(backend->queue_depth(), 4u);
 }
 
-TEST_P(IoBackendTest, QueueDepthIsOneForSyncAndTheBoundForAsync) {
-  auto backend = IoBackend::Create(GetParam(), /*max_in_flight=*/4);
-  EXPECT_EQ(backend->queue_depth(),
-            GetParam() == IoBackendKind::kSync ? 1u : 4u);
-}
-
-TEST_P(IoBackendTest, WritesLandAfterWaitFor) {
-  auto backend = IoBackend::Create(GetParam());
+TEST_F(IoBackendTest, WritesLandAfterWaitFor) {
+  auto backend = IoBackend::Create();
   IoFile file;
   ASSERT_TRUE(file.OpenForUpdate(dir_ + "/data").ok());
 
@@ -68,8 +59,8 @@ TEST_P(IoBackendTest, WritesLandAfterWaitFor) {
   EXPECT_EQ(bytes.substr(a.size()), b);
 }
 
-TEST_P(IoBackendTest, TicketsAreMonotonic) {
-  auto backend = IoBackend::Create(GetParam());
+TEST_F(IoBackendTest, TicketsAreMonotonic) {
+  auto backend = IoBackend::Create();
   IoFile file;
   ASSERT_TRUE(file.OpenForUpdate(dir_ + "/data").ok());
   const char byte = 'x';
@@ -83,10 +74,10 @@ TEST_P(IoBackendTest, TicketsAreMonotonic) {
   EXPECT_TRUE(backend->Drain().ok());
 }
 
-TEST_P(IoBackendTest, DrainIsABarrierOverManyWrites) {
+TEST_F(IoBackendTest, DrainIsABarrierOverManyWrites) {
   // More writes than the in-flight bound: SubmitWrite must backpressure,
   // not drop or deadlock, and Drain must cover all of them.
-  auto backend = IoBackend::Create(GetParam(), /*max_in_flight=*/4);
+  auto backend = IoBackend::Create(/*max_in_flight=*/4);
   IoFile file;
   ASSERT_TRUE(file.OpenForUpdate(dir_ + "/data").ok());
   constexpr int kWrites = 64;
@@ -108,8 +99,8 @@ TEST_P(IoBackendTest, DrainIsABarrierOverManyWrites) {
   }
 }
 
-TEST_P(IoBackendTest, WriteErrorIsStickyAndSurfacesFromWait) {
-  auto backend = IoBackend::Create(GetParam());
+TEST_F(IoBackendTest, WriteErrorIsStickyAndSurfacesFromWait) {
+  auto backend = IoBackend::Create();
   IoFile file;
   ASSERT_TRUE(file.OpenForUpdate(dir_ + "/data").ok());
   // Close the descriptor behind the backend's back: every subsequent
@@ -122,13 +113,6 @@ TEST_P(IoBackendTest, WriteErrorIsStickyAndSurfacesFromWait) {
   // The error is sticky: later barriers keep reporting it.
   EXPECT_FALSE(backend->Drain().ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, IoBackendTest,
-                         ::testing::Values(IoBackendKind::kSync,
-                                           IoBackendKind::kAsync),
-                         [](const auto& info) {
-                           return std::string(IoBackendKindName(info.param));
-                         });
 
 }  // namespace
 }  // namespace tickpoint

@@ -2,7 +2,7 @@
 // per-partition dirty-mark rates and moves a hot partition to a freshly
 // spawned shard slot -- optionally on a different disk -- through the
 // committed-cut migration protocol, all from Fleet::EndTick. These tests
-// pin the detector's determinism (inline mode scripts the exact decision
+// pin the detector's determinism (lockstep ticks script the exact decision
 // boundary), every anti-oscillation guard (hysteresis, warmup, cooldown,
 // min-marks floor, never-re-migrate), the stand-down around user cuts,
 // the v3 mount-root landing, the scheduler EWMA reset on migration, the
@@ -24,7 +24,6 @@
 #include "engine/replica_buffer.h"
 #include "engine/sharded_engine.h"
 #include "fleet_test_util.h"
-#include "util/io_backend.h"
 
 namespace tickpoint {
 namespace {
@@ -55,17 +54,14 @@ class RebalancerTest : public ::testing::Test {
     std::filesystem::remove_all(mount_);
   }
 
-  ShardedEngineConfig Config(uint32_t num_shards, bool threaded = true,
-                             IoBackendKind io = IoBackendKind::kSync) {
+  ShardedEngineConfig Config(uint32_t num_shards) {
     ShardedEngineConfig config;
     config.shard.layout = ShardLayout();
     config.shard.algorithm = AlgorithmKind::kCopyOnUpdate;
     config.shard.fsync = false;  // simulated crashes: page cache is durable
     config.shard.full_flush_period = 4;
-    config.shard.io_backend = io;
     config.num_shards = num_shards;
     config.checkpoint_period_ticks = 5;
-    config.threaded = threaded;
     return config;
   }
 
@@ -110,17 +106,30 @@ class RebalancerTest : public ::testing::Test {
     }
   }
 
-  /// Runs skewed ticks until the rebalancer commits its first migration,
-  /// bounded by `max_ticks`. Paced: each tick waits for the runners to
-  /// apply its batch, so every boundary is informative to the detector
-  /// (an unpaced threaded loop can outrun the runners indefinitely, and
-  /// the detector -- correctly -- learns nothing from such boundaries).
+  /// RunSkewedTicks in lockstep: each tick waits for the runners to
+  /// apply its batch, so the detector, which reads one boundary behind the
+  /// facade, sees every boundary move and the decide -> cut -> migrate
+  /// timeline is scripted to the tick (an unpaced loop can outrun the
+  /// runners indefinitely, and the detector -- correctly -- learns
+  /// nothing from such boundaries). Under TestPolicy the first window
+  /// closes at boundary 2, the decision fires at boundary 5 (warmup 2 +
+  /// hysteresis 2, one boundary behind), the cut lands at 5 + cut_lead(2)
+  /// = 7, and the migration commits at boundary 8.
+  void RunLockstepTicks(Fleet* fleet, uint64_t ticks,
+                        std::vector<StateTable>* reference, uint32_t hot) {
+    for (uint64_t t = 0; t < ticks; ++t) {
+      RunSkewedTicks(fleet, 1, reference, hot);
+      ASSERT_TRUE(fleet->WaitForIdle().ok());
+    }
+  }
+
+  /// Runs lockstep skewed ticks until the rebalancer commits its first
+  /// migration, bounded by `max_ticks`.
   void RunUntilMigrated(Fleet* fleet, std::vector<StateTable>* reference,
                         uint32_t hot, uint64_t max_ticks = 60) {
     for (uint64_t t = 0;
          t < max_ticks && fleet->rebalancer()->migrations() == 0; ++t) {
-      RunSkewedTicks(fleet, 1, reference, hot);
-      ASSERT_TRUE(fleet->WaitForIdle().ok());
+      RunLockstepTicks(fleet, 1, reference, hot);
     }
     ASSERT_EQ(fleet->rebalancer()->migrations(), 1u)
         << "skewed battle never triggered a migration in " << max_ticks
@@ -164,46 +173,48 @@ TEST_F(RebalancerTest, EnableAutoRebalanceValidatesThePolicy) {
   ASSERT_TRUE(fleet_or.value()->Shutdown().ok());
 }
 
-TEST_F(RebalancerTest, InlineSkewMigratesAtTheEarliestLegalBoundary) {
-  // Inline mode is fully deterministic: the mark deltas at each boundary
-  // are exactly the tick's update counts, so the whole decide -> cut ->
-  // migrate timeline is scripted. warmup 2 + hysteresis 2 => the decision
-  // fires at boundary 4 (the earliest the guards allow -- "within the
-  // hysteresis window"), the cut lands at 4 + cut_lead(2) = 6, and the
-  // migration commits at boundary 7.
-  auto fleet_or = Fleet::Create(dir_, Config(2, /*threaded=*/false));
+TEST_F(RebalancerTest, LockstepSkewMigratesAtTheEarliestLegalBoundary) {
+  // Lockstep ticks are fully deterministic: the mark deltas at each read
+  // boundary are exactly the tick's update counts, so the whole decide ->
+  // cut -> migrate timeline is scripted. warmup 2 + hysteresis 2 => the
+  // decision fires at boundary 5 (the earliest the guards allow --
+  // "within the hysteresis window" -- with the detector one boundary
+  // behind the facade), the cut lands at 5 + cut_lead(2) = 7, and the
+  // migration commits at boundary 8.
+  auto fleet_or = Fleet::Create(dir_, Config(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   Fleet& fleet = *fleet_or.value();
   const RebalancePolicy policy = TestPolicy();
   ASSERT_TRUE(fleet.EnableAutoRebalance(policy).ok());
 
   std::vector<StateTable> reference;
-  RunSkewedTicks(&fleet, 5, &reference, /*hot=*/1);
+  RunLockstepTicks(&fleet, 6, &reference, /*hot=*/1);
   EXPECT_TRUE(fleet.rebalancer()->migration_pending())
-      << "decision boundary 4 should have armed the rebalancer's cut";
-  EXPECT_EQ(fleet.engine().pending_cut_tick(), 6u);
+      << "decision boundary 5 should have armed the rebalancer's cut";
+  EXPECT_EQ(fleet.engine().pending_cut_tick(), 7u);
   EXPECT_GE(fleet.rebalancer()->RatePerTick(1),
             static_cast<double>(kHotUpdates) - 1.0);
 
-  RunSkewedTicks(&fleet, 2, &reference, /*hot=*/1);
-  // The state at the cut (end of tick 6) is exactly the reference now.
+  RunLockstepTicks(&fleet, 2, &reference, /*hot=*/1);
+  // The state at the cut (end of tick 7) is exactly the reference now.
   std::vector<StateTable> reference_at_cut = SnapshotTables(reference);
   ASSERT_EQ(fleet.rebalancer()->migrations(), 1u);
   EXPECT_FALSE(fleet.rebalancer()->migration_pending());
   const RebalanceEvent& event = fleet.rebalancer()->last_event();
   EXPECT_EQ(event.partition, 1u);
   EXPECT_EQ(event.to_slot, 2u) << "the target must be a freshly spawned slot";
-  EXPECT_EQ(event.decided_tick, policy.warmup_ticks + policy.hysteresis_ticks);
-  EXPECT_EQ(event.cut_tick, 6u);
+  EXPECT_EQ(event.decided_tick,
+            policy.warmup_ticks + policy.hysteresis_ticks + 1);
+  EXPECT_EQ(event.cut_tick, 7u);
   EXPECT_GT(event.hot_ratio, policy.imbalance_ratio);
   EXPECT_EQ(fleet.epoch(), 1u);
   EXPECT_EQ(fleet.engine().SlotOfPartition(1), 2u);
-  EXPECT_EQ(fleet.last_migration_report().first_tick_on_new_shard, 7u);
+  EXPECT_EQ(fleet.last_migration_report().first_tick_on_new_shard, 8u);
 
   // The fleet keeps playing across the automated boundary; a crash then
   // recovers the migrated topology with exact state, and the committed
   // cut stays reproducible on the new topology.
-  RunSkewedTicks(&fleet, 5, &reference, /*hot=*/1);
+  RunLockstepTicks(&fleet, 5, &reference, /*hot=*/1);
   ASSERT_TRUE(fleet.SimulateCrash().ok());
   auto recovered_or = Fleet::Recover(dir_);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
@@ -217,7 +228,7 @@ TEST_F(RebalancerTest, InlineSkewMigratesAtTheEarliestLegalBoundary) {
   auto at_cut_or = Fleet::RecoverToCut(dir_);
   ASSERT_TRUE(at_cut_or.ok()) << at_cut_or.status().ToString();
   EXPECT_TRUE(at_cut_or.value().at_cut());
-  EXPECT_EQ(at_cut_or.value().result().cut_tick, 6u);
+  EXPECT_EQ(at_cut_or.value().result().cut_tick, 7u);
   for (uint32_t p = 0; p < 2; ++p) {
     EXPECT_TRUE(
         at_cut_or.value().tables()[p].ContentEquals(reference_at_cut[p]))
@@ -241,7 +252,7 @@ TEST_F(RebalancerTest, UniformLoadNeverTriggersARebalance) {
 TEST_F(RebalancerTest, AnIdleFleetNeverLooksImbalanced) {
   // A 4-vs-0 split is an infinite ratio, but 4 marks per tick is noise,
   // not load: the min_marks_per_tick floor must keep the fleet in place.
-  auto fleet_or = Fleet::Create(dir_, Config(2, /*threaded=*/false));
+  auto fleet_or = Fleet::Create(dir_, Config(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   Fleet& fleet = *fleet_or.value();
   RebalancePolicy policy = TestPolicy();
@@ -254,6 +265,7 @@ TEST_F(RebalancerTest, AnIdleFleetNeverLooksImbalanced) {
       fleet.ApplyUpdate(0, i, static_cast<int32_t>(t));
     }
     ASSERT_TRUE(fleet.EndTick().ok());
+    ASSERT_TRUE(fleet.WaitForIdle().ok());  // lockstep: every boundary read
   }
   EXPECT_EQ(fleet.rebalancer()->migrations(), 0u);
   EXPECT_FALSE(fleet.rebalancer()->migration_pending());
@@ -264,25 +276,25 @@ TEST_F(RebalancerTest, StandsDownWhileAUserCutIsInFlight) {
   // A user-armed cut freezes the detector (no second cut may be armed);
   // once the user commits, the still-warm streaks fire on the next legal
   // boundary and the automated migration proceeds.
-  auto fleet_or = Fleet::Create(dir_, Config(2, /*threaded=*/false));
+  auto fleet_or = Fleet::Create(dir_, Config(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   Fleet& fleet = *fleet_or.value();
   ASSERT_TRUE(fleet.EnableAutoRebalance(TestPolicy()).ok());
   std::vector<StateTable> reference;
-  RunSkewedTicks(&fleet, 3, &reference, /*hot=*/1);  // one boundary short
+  RunLockstepTicks(&fleet, 4, &reference, /*hot=*/1);  // one boundary short
   auto cut_or = fleet.RequestConsistentCut();
   ASSERT_TRUE(cut_or.ok()) << cut_or.status().ToString();
   while (fleet.current_tick() <= cut_or.value()) {
-    RunSkewedTicks(&fleet, 1, &reference, /*hot=*/1);
+    RunLockstepTicks(&fleet, 1, &reference, /*hot=*/1);
     EXPECT_FALSE(fleet.rebalancer()->migration_pending())
         << "the detector must stand down while the user's cut is armed";
   }
   ASSERT_TRUE(fleet.CommitConsistentCut().ok());
   EXPECT_EQ(fleet.rebalancer()->migrations(), 0u);
-  RunSkewedTicks(&fleet, 6, &reference, /*hot=*/1);
+  RunLockstepTicks(&fleet, 6, &reference, /*hot=*/1);
   EXPECT_EQ(fleet.rebalancer()->migrations(), 1u);
   EXPECT_EQ(fleet.engine().SlotOfPartition(1), 2u);
-  RunSkewedTicks(&fleet, 3, &reference, /*hot=*/1);
+  RunLockstepTicks(&fleet, 3, &reference, /*hot=*/1);
   ASSERT_TRUE(fleet.SimulateCrash().ok());
   auto recovered_or = Fleet::Recover(dir_);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
@@ -297,7 +309,7 @@ TEST_F(RebalancerTest, NeverRemigratesAHotPartition) {
   // most ONCE per rebalancer lifetime -- the strongest anti-thrash
   // guarantee. The skew stays on partition 1 the whole run; after its
   // move the fleet must simply live with the imbalance.
-  auto fleet_or = Fleet::Create(dir_, Config(2, /*threaded=*/false));
+  auto fleet_or = Fleet::Create(dir_, Config(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   Fleet& fleet = *fleet_or.value();
   RebalancePolicy policy = TestPolicy();
@@ -305,7 +317,7 @@ TEST_F(RebalancerTest, NeverRemigratesAHotPartition) {
   policy.cooldown_ticks = 0;
   ASSERT_TRUE(fleet.EnableAutoRebalance(policy).ok());
   std::vector<StateTable> reference;
-  RunSkewedTicks(&fleet, 30, &reference, /*hot=*/1);
+  RunLockstepTicks(&fleet, 30, &reference, /*hot=*/1);
   EXPECT_EQ(fleet.rebalancer()->migrations(), 1u);
   EXPECT_EQ(fleet.epoch(), 1u);
   EXPECT_EQ(fleet.rebalancer()->HotStreak(1), 0u)
@@ -318,14 +330,14 @@ TEST_F(RebalancerTest, SpawnMountRootLandsTheMigrationOnAnotherDisk) {
   // directory lives under the policy's mount root, the manifest records
   // the override durably, and BOTH recovery paths plus a full reopen
   // resolve the relocated directory from the root alone.
-  auto fleet_or = Fleet::Create(dir_, Config(2, /*threaded=*/false));
+  auto fleet_or = Fleet::Create(dir_, Config(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   Fleet& fleet = *fleet_or.value();
   RebalancePolicy policy = TestPolicy();
   policy.spawn_mount_root = mount_;
   ASSERT_TRUE(fleet.EnableAutoRebalance(policy).ok());
   std::vector<StateTable> reference;
-  RunSkewedTicks(&fleet, 7, &reference, /*hot=*/1);
+  RunLockstepTicks(&fleet, 8, &reference, /*hot=*/1);
   ASSERT_EQ(fleet.rebalancer()->migrations(), 1u);
   EXPECT_EQ(fleet.manifest().MountRootOf(1), mount_);
   EXPECT_EQ(fleet.manifest().MountRootOf(0), "");
@@ -333,7 +345,7 @@ TEST_F(RebalancerTest, SpawnMountRootLandsTheMigrationOnAnotherDisk) {
       << "the spawned slot must live under the mount root";
   EXPECT_FALSE(std::filesystem::exists(paths::ShardDir(dir_, 1)))
       << "the source slot under the fleet root must be retired";
-  RunSkewedTicks(&fleet, 4, &reference, /*hot=*/1);
+  RunLockstepTicks(&fleet, 4, &reference, /*hot=*/1);
   ASSERT_TRUE(fleet.Shutdown().ok());
 
   // Reopen from the fleet root ALONE: the manifest's mount entry is the
@@ -348,7 +360,7 @@ TEST_F(RebalancerTest, SpawnMountRootLandsTheMigrationOnAnotherDisk) {
     EXPECT_TRUE(reopened.engine().shard(p).state().ContentEquals(reference[p]))
         << "partition " << p;
   }
-  RunSkewedTicks(&reopened, 3, &reference, /*hot=*/1);
+  RunLockstepTicks(&reopened, 3, &reference, /*hot=*/1);
   ASSERT_TRUE(reopened.SimulateCrash().ok());
   auto recovered_or = Fleet::Recover(dir_);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
@@ -367,7 +379,7 @@ TEST_F(RebalancerTest, MigrationResetsTheSchedulerEwmaState) {
   // disk-budget reservation of any in-flight checkpoint the swap
   // swallowed. The reset must zero the migrated partition's estimates
   // only; the sibling keeps its learning, and the new slot re-learns.
-  auto config = Config(2, /*threaded=*/false);
+  auto config = Config(2);
   config.adaptive = true;
   auto fleet_or = Fleet::Create(dir_, config);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
@@ -379,11 +391,11 @@ TEST_F(RebalancerTest, MigrationResetsTheSchedulerEwmaState) {
   // have learned, bounded far above what an unslowed run needs.
   constexpr uint64_t kMaxTicks = 400;
   const auto run_until_learned = [&](std::vector<uint32_t> partitions) {
-    RunSkewedTicks(&fleet, 12, &reference, /*hot=*/1);
+    RunLockstepTicks(&fleet, 12, &reference, /*hot=*/1);
     for (const uint32_t p : partitions) {
       while (scheduler.EwmaWriteSeconds(p) == 0.0 &&
              fleet.current_tick() < kMaxTicks) {
-        RunSkewedTicks(&fleet, 1, &reference, /*hot=*/1);
+        RunLockstepTicks(&fleet, 1, &reference, /*hot=*/1);
       }
     }
   };
@@ -394,7 +406,7 @@ TEST_F(RebalancerTest, MigrationResetsTheSchedulerEwmaState) {
   auto cut_or = fleet.RequestConsistentCut();
   ASSERT_TRUE(cut_or.ok()) << cut_or.status().ToString();
   while (fleet.current_tick() <= cut_or.value()) {
-    RunSkewedTicks(&fleet, 1, &reference, /*hot=*/1);
+    RunLockstepTicks(&fleet, 1, &reference, /*hot=*/1);
   }
   ASSERT_TRUE(fleet.CommitConsistentCut().ok());
   ASSERT_TRUE(fleet.MigratePartition(1, 2).ok());
@@ -428,7 +440,7 @@ TEST_F(RebalancerTest, FailoverAfterAutoRebalanceRebuildsFromPeerMemory) {
   // replica partition 0's runner hosted for partition 2 is re-hosted on
   // the migrated runner. Both subsequent failovers must take the
   // peer-memory path and land digest-equal to the mirrored reference.
-  auto config = Config(3, /*threaded=*/true);
+  auto config = Config(3);
   config.replicate = true;
   auto fleet_or = Fleet::Create(dir_, config);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
@@ -480,14 +492,13 @@ TEST_F(RebalancerTest, FailoverAfterAutoRebalanceRebuildsFromPeerMemory) {
 // advances one step per fleet tick. Crashing after EVERY prefix must
 // recover a fleet whose topology equals what the live fleet reported just
 // before the crash, with per-partition state exactly equal to the
-// deterministic reference. Inline cases additionally pin the scripted
-// timeline (migration committed exactly at boundary 7); threaded and
-// async-IO cases cover the racy facade/runner interleavings.
+// deterministic reference. Lockstep cases additionally pin the scripted
+// timeline (migration committed exactly at boundary 8); unpaced cases
+// cover the racy facade/runner interleavings.
 
 struct RebalanceCrashCase {
   int crash_after_tick;
-  bool threaded;
-  IoBackendKind io;
+  bool lockstep;
 };
 
 class RebalanceCrashSweepTest
@@ -496,7 +507,7 @@ class RebalanceCrashSweepTest
 
 TEST_P(RebalanceCrashSweepTest, RecoversTopologyAndExactState) {
   const RebalanceCrashCase param = GetParam();
-  const auto config = Config(2, param.threaded, param.io);
+  const auto config = Config(2);
   std::vector<StateTable> reference;
   uint64_t pre_epoch = 0;
   std::vector<uint32_t> pre_assignment;
@@ -507,13 +518,15 @@ TEST_P(RebalanceCrashSweepTest, RecoversTopologyAndExactState) {
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
     Fleet& fleet = *fleet_or.value();
     ASSERT_TRUE(fleet.EnableAutoRebalance(TestPolicy()).ok());
-    RunSkewedTicks(&fleet, static_cast<uint64_t>(param.crash_after_tick),
-                   &reference, /*hot=*/1);
-    if (!param.threaded) {
-      // The inline timeline is scripted: decision at boundary 4, cut at
-      // tick 6, commit+migrate at boundary 7.
+    const uint64_t ticks = static_cast<uint64_t>(param.crash_after_tick);
+    if (param.lockstep) {
+      RunLockstepTicks(&fleet, ticks, &reference, /*hot=*/1);
+      // The lockstep timeline is scripted: decision at boundary 5, cut at
+      // tick 7, commit+migrate at boundary 8.
       EXPECT_EQ(fleet.rebalancer()->migrations(),
-                param.crash_after_tick >= 7 ? 1u : 0u);
+                param.crash_after_tick >= 8 ? 1u : 0u);
+    } else {
+      RunSkewedTicks(&fleet, ticks, &reference, /*hot=*/1);
     }
     pre_epoch = fleet.epoch();
     pre_assignment = fleet.manifest().assignment;
@@ -547,22 +560,16 @@ TEST_P(RebalanceCrashSweepTest, RecoversTopologyAndExactState) {
 
 std::vector<RebalanceCrashCase> AllRebalanceCrashCases() {
   std::vector<RebalanceCrashCase> cases;
-  // Inline + sync IO: the deterministic scripted timeline, every step
+  // Lockstep: the deterministic scripted timeline, every step
   // (observe-only, streak-building, cut armed, cut tick, commit+migrate,
   // post-migration play).
   for (int tick = 1; tick <= 10; ++tick) {
-    cases.push_back({tick, /*threaded=*/false, IoBackendKind::kSync});
+    cases.push_back({tick, /*lockstep=*/true});
   }
-  // Threaded facade over both IO backends at the boundary-adjacent steps
-  // (detection timing shifts with runner lag; the sweep's self-consistency
-  // checks hold at any step).
+  // Unpaced at the boundary-adjacent steps (detection timing shifts with
+  // runner lag; the sweep's self-consistency checks hold at any step).
   for (int tick : {4, 6, 7, 8, 10}) {
-    cases.push_back({tick, /*threaded=*/true, IoBackendKind::kSync});
-    cases.push_back({tick, /*threaded=*/true, IoBackendKind::kAsync});
-  }
-  // Inline + async IO at the commit-adjacent steps.
-  for (int tick : {6, 7, 8}) {
-    cases.push_back({tick, /*threaded=*/false, IoBackendKind::kAsync});
+    cases.push_back({tick, /*lockstep=*/false});
   }
   return cases;
 }
@@ -570,8 +577,7 @@ std::vector<RebalanceCrashCase> AllRebalanceCrashCases() {
 std::string RebalanceCrashCaseName(
     const ::testing::TestParamInfo<RebalanceCrashCase>& info) {
   return "tick" + std::to_string(info.param.crash_after_tick) +
-         (info.param.threaded ? "" : "_inline") + "_" +
-         IoBackendKindName(info.param.io);
+         (info.param.lockstep ? "" : "_unpaced");
 }
 
 INSTANTIATE_TEST_SUITE_P(EveryStep, RebalanceCrashSweepTest,
@@ -579,22 +585,17 @@ INSTANTIATE_TEST_SUITE_P(EveryStep, RebalanceCrashSweepTest,
                          RebalanceCrashCaseName);
 
 // The other half of the sweep: the crash is pinned AFTER the migration
-// committed (threaded detection timing varies, so the sweep above cannot
+// committed (unpaced detection timing varies, so the sweep above cannot
 // guarantee post-migration coverage there -- this one runs until the
-// migration lands, then crashes 0..3 ticks later).
-struct PostMigrationCrashCase {
-  uint64_t extra_ticks;
-  bool threaded;
-  IoBackendKind io;
-};
-
+// migration lands, then crashes 0..3 ticks later). The parameter is the
+// number of unpaced ticks between the migration and the crash.
 class RebalancePostMigrationCrashTest
     : public RebalancerTest,
-      public ::testing::WithParamInterface<PostMigrationCrashCase> {};
+      public ::testing::WithParamInterface<uint64_t> {};
 
 TEST_P(RebalancePostMigrationCrashTest, RecoversTheMigratedTopology) {
-  const PostMigrationCrashCase param = GetParam();
-  const auto config = Config(2, param.threaded, param.io);
+  const uint64_t extra_ticks = GetParam();
+  const auto config = Config(2);
   std::vector<StateTable> reference;
   uint64_t crash_tick = 0;
   {
@@ -603,7 +604,7 @@ TEST_P(RebalancePostMigrationCrashTest, RecoversTheMigratedTopology) {
     Fleet& fleet = *fleet_or.value();
     ASSERT_TRUE(fleet.EnableAutoRebalance(TestPolicy()).ok());
     RunUntilMigrated(&fleet, &reference, /*hot=*/1);
-    RunSkewedTicks(&fleet, param.extra_ticks, &reference, /*hot=*/1);
+    RunSkewedTicks(&fleet, extra_ticks, &reference, /*hot=*/1);
     crash_tick = fleet.current_tick();
     ASSERT_TRUE(fleet.SimulateCrash().ok());
   }
@@ -620,23 +621,11 @@ TEST_P(RebalancePostMigrationCrashTest, RecoversTheMigratedTopology) {
   }
 }
 
-std::string PostMigrationCrashCaseName(
-    const ::testing::TestParamInfo<PostMigrationCrashCase>& info) {
-  return "plus" + std::to_string(info.param.extra_ticks) +
-         (info.param.threaded ? "" : "_inline") + "_" +
-         IoBackendKindName(info.param.io);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AfterCommit, RebalancePostMigrationCrashTest,
-    ::testing::ValuesIn(std::vector<PostMigrationCrashCase>{
-        {0, true, IoBackendKind::kSync},
-        {1, true, IoBackendKind::kAsync},
-        {2, true, IoBackendKind::kSync},
-        {3, true, IoBackendKind::kAsync},
-        {0, false, IoBackendKind::kAsync},
-    }),
-    PostMigrationCrashCaseName);
+INSTANTIATE_TEST_SUITE_P(AfterCommit, RebalancePostMigrationCrashTest,
+                         ::testing::Values(0u, 1u, 2u, 3u),
+                         [](const auto& info) {
+                           return "plus" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace tickpoint

@@ -31,8 +31,8 @@ class ShardRunnerTest : public ::testing::Test {
   }
   void TearDown() override {
     std::filesystem::remove_all(dir_);
-    std::filesystem::remove_all(dir_ + "_threaded");
-    std::filesystem::remove_all(dir_ + "_inline");
+    std::filesystem::remove_all(dir_ + "_runner");
+    std::filesystem::remove_all(dir_ + "_direct");
   }
 
   std::unique_ptr<Engine> OpenEngine(const std::string& suffix = "") {
@@ -59,6 +59,16 @@ class ShardRunnerTest : public ::testing::Test {
     return batch;
   }
 
+  /// Applies `batch` to `engine` on the calling thread, the way the
+  /// runner's mutator thread does: the reference the runner must match.
+  static void ApplyDirectly(Engine* engine, const ShardTickBatch& batch) {
+    engine->BeginTick();
+    for (const CellUpdate& update : batch.updates) {
+      engine->ApplyUpdate(update.cell, update.value);
+    }
+    ASSERT_TRUE(engine->EndTick().ok());
+  }
+
   std::string dir_;
 };
 
@@ -71,7 +81,7 @@ TEST_F(ShardRunnerTest, BackpressureBoundsTheMailboxLag) {
   // genuinely outruns the consumer and the bound does real work.
   constexpr uint64_t kMaxQueue = 4;
   constexpr uint64_t kTicks = 200;
-  ShardRunner runner(0, OpenEngine(), /*threaded=*/true, kMaxQueue, nullptr);
+  ShardRunner runner(0, OpenEngine(), kMaxQueue, nullptr);
   for (uint64_t tick = 0; tick < kTicks; ++tick) {
     runner.SubmitTick(MakeBatch(tick, 2000));
     const uint64_t submitted = tick + 1;
@@ -86,8 +96,7 @@ TEST_F(ShardRunnerTest, BackpressureBoundsTheMailboxLag) {
 }
 
 TEST_F(ShardRunnerTest, StickyErrorFreezesTheEngineButDrainsTheMailbox) {
-  ShardRunner runner(0, OpenEngine(), /*threaded=*/true, /*max_queue_ticks=*/8,
-                     nullptr);
+  ShardRunner runner(0, OpenEngine(), /*max_queue_ticks=*/8, nullptr);
   for (uint64_t tick = 0; tick < 3; ++tick) {
     runner.SubmitTick(MakeBatch(tick, 50));
   }
@@ -125,7 +134,7 @@ TEST_F(ShardRunnerTest, MarkSamplesCoverTheWholeMailboxLag) {
   constexpr uint64_t kMaxQueue = 4;
   constexpr uint64_t kTicks = 200;
   constexpr uint64_t kUpdates = 2000;
-  ShardRunner runner(0, OpenEngine(), /*threaded=*/true, kMaxQueue, nullptr);
+  ShardRunner runner(0, OpenEngine(), kMaxQueue, nullptr);
   ASSERT_EQ(runner.MarksAt(0), std::optional<uint64_t>(0));
   for (uint64_t tick = 0; tick < kTicks; ++tick) {
     runner.SubmitTick(MakeBatch(tick, kUpdates));
@@ -149,90 +158,63 @@ TEST_F(ShardRunnerTest, MarkSamplesCoverTheWholeMailboxLag) {
   ASSERT_TRUE(runner.engine().Shutdown().ok());
 }
 
-TEST_F(ShardRunnerTest, InlineModeAppliesSynchronously) {
-  ShardRunner runner(0, OpenEngine(), /*threaded=*/false,
-                     /*max_queue_ticks=*/4, nullptr);
-  for (uint64_t tick = 0; tick < 5; ++tick) {
-    runner.SubmitTick(MakeBatch(tick, 50));
-    // Inline: the batch is applied before SubmitTick returns.
-    EXPECT_EQ(runner.ticks_completed(), tick + 1);
-    EXPECT_EQ(runner.engine().current_tick(), tick + 1);
-  }
-  ASSERT_TRUE(runner.Drain().ok());
-  runner.Stop();
-  ASSERT_TRUE(runner.engine().Shutdown().ok());
-}
-
-TEST_F(ShardRunnerTest, ThreadedMatchesInlineOnTheMailboxContract) {
-  // Mailbox-contract parity: the same batch sequence through a threaded
-  // runner (batches cross the lock-free ring to a mutator thread) and an
-  // inline runner (applied on the caller) must land on identical engine
+TEST_F(ShardRunnerTest, RunnerMatchesADirectlyDrivenEngine) {
+  // Mailbox-contract parity: the same batch sequence through a runner
+  // (batches cross the lock-free ring to a mutator thread) and applied
+  // directly to an engine on this thread must land on identical engine
   // state at every Drain barrier and at the end.
-  ShardRunner threaded(0, OpenEngine("_threaded"), /*threaded=*/true,
-                       /*max_queue_ticks=*/4, nullptr);
-  ShardRunner inline_runner(0, OpenEngine("_inline"), /*threaded=*/false,
-                            /*max_queue_ticks=*/4, nullptr);
+  ShardRunner runner(0, OpenEngine("_runner"), /*max_queue_ticks=*/4, nullptr);
+  std::unique_ptr<Engine> direct = OpenEngine("_direct");
   constexpr uint64_t kTicks = 60;
   for (uint64_t tick = 0; tick < kTicks; ++tick) {
-    threaded.SubmitTick(MakeBatch(tick, 300));
-    inline_runner.SubmitTick(MakeBatch(tick, 300));
+    runner.SubmitTick(MakeBatch(tick, 300));
+    ApplyDirectly(direct.get(), MakeBatch(tick, 300));
     if (tick % 17 == 16) {
-      // Drain is a barrier: afterwards the threaded runner must be
-      // indistinguishable from the inline one.
-      ASSERT_TRUE(threaded.Drain().ok());
-      ASSERT_TRUE(inline_runner.Drain().ok());
-      ASSERT_EQ(threaded.ticks_completed(), inline_runner.ticks_completed());
-      ASSERT_EQ(threaded.engine().current_tick(),
-                inline_runner.engine().current_tick());
-      ASSERT_EQ(threaded.engine().state().Digest(),
-                inline_runner.engine().state().Digest());
+      // Drain is a barrier: afterwards the runner must be
+      // indistinguishable from the directly driven engine.
+      ASSERT_TRUE(runner.Drain().ok());
+      ASSERT_EQ(runner.ticks_completed(), tick + 1);
+      ASSERT_EQ(runner.engine().current_tick(), direct->current_tick());
+      ASSERT_EQ(runner.engine().state().Digest(), direct->state().Digest());
     }
   }
-  ASSERT_TRUE(threaded.Drain().ok());
-  ASSERT_TRUE(inline_runner.Drain().ok());
-  EXPECT_EQ(threaded.ticks_completed(), kTicks);
-  EXPECT_EQ(inline_runner.ticks_completed(), kTicks);
-  EXPECT_EQ(threaded.engine().state().Digest(),
-            inline_runner.engine().state().Digest());
-  threaded.Stop();
-  inline_runner.Stop();
-  ASSERT_TRUE(threaded.engine().Shutdown().ok());
-  ASSERT_TRUE(inline_runner.engine().Shutdown().ok());
+  ASSERT_TRUE(runner.Drain().ok());
+  EXPECT_EQ(runner.ticks_completed(), kTicks);
+  EXPECT_EQ(direct->current_tick(), kTicks);
+  EXPECT_EQ(runner.engine().state().Digest(), direct->state().Digest());
+  runner.Stop();
+  ASSERT_TRUE(runner.engine().Shutdown().ok());
+  ASSERT_TRUE(direct->Shutdown().ok());
 }
 
 TEST_F(ShardRunnerTest, FuzzedScheduleKeepsTheContract) {
   // The schedule-perturbing stress: with SchedFuzz enabled the ring's
   // fuzz points yield/spin at the interesting interleaving windows, and
-  // the threaded runner must still match a deterministic inline replay of
-  // the same batches. TP_SCHED_FUZZ_SEED replays a reported failure.
+  // the runner must still match a deterministic direct replay of the same
+  // batches. TP_SCHED_FUZZ_SEED replays a reported failure.
   uint64_t seed = 314159;
   if (const char* env = std::getenv("TP_SCHED_FUZZ_SEED")) {
     seed = std::strtoull(env, nullptr, 10);
   }
   SCOPED_TRACE("replay with TP_SCHED_FUZZ_SEED=" + std::to_string(seed));
   SchedFuzz::Enable(seed);
-  ShardRunner threaded(0, OpenEngine("_threaded"), /*threaded=*/true,
-                       /*max_queue_ticks=*/2, nullptr);
-  ShardRunner inline_runner(0, OpenEngine("_inline"), /*threaded=*/false,
-                            /*max_queue_ticks=*/2, nullptr);
+  ShardRunner runner(0, OpenEngine("_runner"), /*max_queue_ticks=*/2, nullptr);
+  std::unique_ptr<Engine> direct = OpenEngine("_direct");
   constexpr uint64_t kTicks = 400;
   for (uint64_t tick = 0; tick < kTicks; ++tick) {
-    threaded.SubmitTick(MakeBatch(tick, 64));
-    inline_runner.SubmitTick(MakeBatch(tick, 64));
-    EXPECT_GE(threaded.ticks_completed() + 2 + 1, tick + 1)
+    runner.SubmitTick(MakeBatch(tick, 64));
+    ApplyDirectly(direct.get(), MakeBatch(tick, 64));
+    EXPECT_GE(runner.ticks_completed() + 2 + 1, tick + 1)
         << "mailbox exceeded its bound at tick " << tick;
   }
-  ASSERT_TRUE(threaded.Drain().ok());
-  ASSERT_TRUE(inline_runner.Drain().ok());
+  ASSERT_TRUE(runner.Drain().ok());
   SchedFuzz::Disable();
-  EXPECT_EQ(threaded.ticks_completed(), kTicks);
-  EXPECT_EQ(threaded.engine().current_tick(), kTicks);
-  EXPECT_EQ(threaded.engine().state().Digest(),
-            inline_runner.engine().state().Digest());
-  threaded.Stop();
-  inline_runner.Stop();
-  ASSERT_TRUE(threaded.engine().Shutdown().ok());
-  ASSERT_TRUE(inline_runner.engine().Shutdown().ok());
+  EXPECT_EQ(runner.ticks_completed(), kTicks);
+  EXPECT_EQ(runner.engine().current_tick(), kTicks);
+  EXPECT_EQ(runner.engine().state().Digest(), direct->state().Digest());
+  runner.Stop();
+  ASSERT_TRUE(runner.engine().Shutdown().ok());
+  ASSERT_TRUE(direct->Shutdown().ok());
 }
 
 }  // namespace

@@ -341,6 +341,15 @@ TEST_F(ShardedEngineTest, OpenValidatesItsConfig) {
     EXPECT_EQ(Fleet::Create(config.shard.dir, config).status().code(),
               StatusCode::kInvalidArgument);
   }
+  {
+    // Every shard runs on its own mutator thread: the field's only other
+    // value is refused at creation.
+    auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
+    ASSERT_TRUE(config.threaded);
+    config.threaded = !config.threaded;
+    EXPECT_EQ(Fleet::Create(config.shard.dir, config).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ShardedEngineTest, RunsAndShutsDownCleanly) {
@@ -446,13 +455,14 @@ TEST_F(ShardedEngineTest, EndTickPartialFailureLeavesNoShardMidTick) {
   // used to early-return on the first failing shard, leaving shards 2-3
   // stuck with in_tick_ == true and the fleet tick not advanced.
   auto config = Config(AlgorithmKind::kCopyOnUpdate, 4);
-  config.threaded = false;  // deterministic: the error surfaces in-tick
   auto fleet_or = Fleet::Create(config.shard.dir, config);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   ShardedEngine& engine = fleet_or.value()->engine();
   std::vector<StateTable> reference;
   RunTicks(&engine, 3, &reference);
 
+  // Quiesce the fleet so the injection happens on a parked shard.
+  ASSERT_TRUE(engine.WaitForIdle().ok());
   engine.shard(1).InjectEndTickErrorForTest(Status::IOError("injected"));
   const uint64_t num_cells = ShardLayout().num_cells();
   engine.BeginTick();
@@ -465,7 +475,11 @@ TEST_F(ShardedEngineTest, EndTickPartialFailureLeavesNoShardMidTick) {
       if (shard != 1) reference[shard].WriteCell(cell, value);
     }
   }
-  const Status status = engine.EndTick();
+  Status status = engine.EndTick();
+  // The runners apply the tick on their own threads: the error surfaces
+  // at this EndTick's poll or, at the latest, at the barrier.
+  const Status idle = engine.WaitForIdle();
+  if (status.ok()) status = idle;
   EXPECT_FALSE(status.ok());
   EXPECT_TRUE(engine.failed());
 
@@ -497,11 +511,10 @@ TEST_F(ShardedEngineTest, EndTickPartialFailureLeavesNoShardMidTick) {
 }
 
 TEST_F(ShardedEngineTest, ThreadedPartialFailureHardFailsTheFleet) {
-  // Threaded mode: the failing shard's error surfaces on a later EndTick
-  // poll (or the WaitForIdle barrier), the healthy shards keep consuming
-  // every submitted tick, and the fleet lands in the defined failed state.
+  // The failing shard's error surfaces on a later EndTick poll (or the
+  // WaitForIdle barrier), the healthy shards keep consuming every
+  // submitted tick, and the fleet lands in the defined failed state.
   auto config = Config(AlgorithmKind::kCopyOnUpdate, 4);
-  ASSERT_TRUE(config.threaded);
   auto fleet_or = Fleet::Create(config.shard.dir, config);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   ShardedEngine& engine = fleet_or.value()->engine();
@@ -556,21 +569,19 @@ TEST_F(ShardedEngineTest, ThreadedPartialFailureHardFailsTheFleet) {
   }
 }
 
-// ---- Threaded/inline equivalence and the adaptive fleet ----
+// ---- Lockstep determinism and the adaptive fleet ----
 
-TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
-  // Same workload, same schedule: per-shard final states must be identical
-  // whether the shards run on their own mutator threads or multiplexed on
-  // the facade's, and the checkpoint cadence must agree. A request is
-  // served at the first EndTick that observes the previous flush drained,
-  // so both fleets reap every in-flight checkpoint at the same tick
-  // boundaries: each start tick is then fixed by the schedule alone, not
-  // by writer timing.
+TEST_F(ShardedEngineTest, LockstepFleetsAgreeOnStateAndCadence) {
+  // Same workload, same schedule, two fleets: per-shard final states must
+  // equal the reference replay and each other, and the checkpoint cadence
+  // must agree. A request is served at the first EndTick that observes
+  // the previous flush drained, so both fleets reap every in-flight
+  // checkpoint at the same tick boundaries: each start tick is then fixed
+  // by the schedule alone, not by writer timing.
   std::vector<std::unique_ptr<Fleet>> fleets;
-  for (const bool threaded : {false, true}) {
+  for (const char* name : {"/a", "/b"}) {
     auto config = Config(AlgorithmKind::kCopyOnUpdate, 3);
-    config.shard.dir = dir_ + (threaded ? "/threaded" : "/inline");
-    config.threaded = threaded;
+    config.shard.dir = dir_ + name;
     auto fleet_or = Fleet::Create(config.shard.dir, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
     fleets.push_back(std::move(fleet_or.value()));
@@ -599,17 +610,18 @@ TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
   }
   for (const auto& fleet : fleets) ASSERT_TRUE(fleet->Shutdown().ok());
   for (uint32_t i = 0; i < 3; ++i) {
-    const Engine& inline_shard = fleets[0]->engine().shard(i);
-    const Engine& threaded_shard = fleets[1]->engine().shard(i);
-    EXPECT_TRUE(threaded_shard.state().ContentEquals(inline_shard.state()))
+    const Engine& a_shard = fleets[0]->engine().shard(i);
+    const Engine& b_shard = fleets[1]->engine().shard(i);
+    EXPECT_TRUE(a_shard.state().ContentEquals(references[0][i]))
         << "shard " << i;
-    const size_t inline_count = checkpoints(0, i);
-    const size_t threaded_count = checkpoints(1, i);
-    EXPECT_GE(inline_count, 3u) << "shard " << i;
-    EXPECT_GE(threaded_count, 3u) << "shard " << i;
-    const size_t difference = inline_count > threaded_count
-                                  ? inline_count - threaded_count
-                                  : threaded_count - inline_count;
+    EXPECT_TRUE(b_shard.state().ContentEquals(a_shard.state()))
+        << "shard " << i;
+    const size_t a_count = checkpoints(0, i);
+    const size_t b_count = checkpoints(1, i);
+    EXPECT_GE(a_count, 3u) << "shard " << i;
+    EXPECT_GE(b_count, 3u) << "shard " << i;
+    const size_t difference =
+        a_count > b_count ? a_count - b_count : b_count - a_count;
     EXPECT_LE(difference, 1u) << "shard " << i;
   }
 }
@@ -677,7 +689,6 @@ struct ShardedCrashCase {
   uint32_t num_shards;
   uint64_t crash_tick;
   bool staggered;
-  bool threaded = true;
   bool adaptive = false;
 };
 
@@ -688,7 +699,6 @@ class ShardedCrashRecoveryTest
 TEST_P(ShardedCrashRecoveryTest, EveryShardRecoversExactly) {
   const ShardedCrashCase param = GetParam();
   auto config = Config(param.kind, param.num_shards, param.staggered);
-  config.threaded = param.threaded;
   config.adaptive = param.adaptive;
   auto fleet_or = Fleet::Create(config.shard.dir, config);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
@@ -746,20 +756,11 @@ std::vector<ShardedCrashCase> AllShardedCrashCases() {
       cases.push_back({kind, 4, tick, /*staggered=*/false});
     }
   }
-  // The inline (single-thread facade) path stays covered...
-  for (AlgorithmKind kind :
-       {AlgorithmKind::kNaiveSnapshot, AlgorithmKind::kCopyOnUpdate}) {
-    for (uint64_t tick : {2ull, 9ull, 16ull}) {
-      cases.push_back(
-          {kind, 4, tick, /*staggered=*/true, /*threaded=*/false});
-    }
-  }
-  // ...and the adaptive schedule must be recovery-exact too (whatever
-  // starts it picked, every shard's durable prefix rebuilds bit-for-bit).
+  // The adaptive schedule must be recovery-exact too (whatever starts it
+  // picked, every shard's durable prefix rebuilds bit-for-bit).
   for (uint64_t tick : {4ull, 12ull, 17ull}) {
     cases.push_back({AlgorithmKind::kCopyOnUpdate, 4, tick,
-                     /*staggered=*/true, /*threaded=*/true,
-                     /*adaptive=*/true});
+                     /*staggered=*/true, /*adaptive=*/true});
   }
   return cases;
 }
@@ -770,7 +771,6 @@ std::string ShardedCrashCaseName(
                      "_k" + std::to_string(info.param.num_shards) + "_tick" +
                      std::to_string(info.param.crash_tick) +
                      (info.param.staggered ? "" : "_sync") +
-                     (info.param.threaded ? "" : "_inline") +
                      (info.param.adaptive ? "_adaptive" : "");
   for (auto& c : name) {
     if (c == '-') c = '_';
@@ -788,7 +788,6 @@ struct CutCrashCase {
   AlgorithmKind kind;
   uint32_t num_shards;
   uint64_t crash_tick;
-  bool threaded;
 };
 
 class ConsistentCutCrashRecoveryTest
@@ -806,7 +805,6 @@ class ConsistentCutCrashRecoveryTest
 TEST_P(ConsistentCutCrashRecoveryTest, FleetRecoversExactlyToTheCut) {
   const CutCrashCase param = GetParam();
   auto config = Config(param.kind, param.num_shards);
-  config.threaded = param.threaded;
   auto fleet_or = Fleet::Create(config.shard.dir, config);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   ShardedEngine& engine = fleet_or.value()->engine();
@@ -874,27 +872,23 @@ std::vector<CutCrashCase> AllCutCrashCases() {
   constexpr uint64_t kTicks = 18;  // well past the cut: later staggered
                                    // checkpoints overwrite the cut images
   std::vector<CutCrashCase> cases;
-  // Double-backup organization: crash at EVERY tick, K in {2, 4},
-  // threaded and inline.
-  for (bool threaded : {true, false}) {
-    for (uint32_t num_shards : {2u, 4u}) {
-      for (uint64_t tick = 0; tick < kTicks; ++tick) {
-        cases.push_back(
-            {AlgorithmKind::kCopyOnUpdate, num_shards, tick, threaded});
-      }
+  // Double-backup organization: crash at EVERY tick, K in {2, 4}.
+  for (uint32_t num_shards : {2u, 4u}) {
+    for (uint64_t tick = 0; tick < kTicks; ++tick) {
+      cases.push_back({AlgorithmKind::kCopyOnUpdate, num_shards, tick});
     }
   }
   // Log organization: cut segments live inside generations that later full
   // flushes retire, forcing the zero+bounded-replay path.
   for (uint32_t num_shards : {2u, 4u}) {
     for (uint64_t tick = 0; tick < kTicks; ++tick) {
-      cases.push_back({AlgorithmKind::kCopyOnUpdatePartialRedo, num_shards,
-                       tick, /*threaded=*/true});
+      cases.push_back(
+          {AlgorithmKind::kCopyOnUpdatePartialRedo, num_shards, tick});
     }
   }
   // Dribble: every checkpoint is a fresh all-objects generation.
   for (uint64_t tick : {0ull, 4ull, 9ull, 16ull}) {
-    cases.push_back({AlgorithmKind::kDribble, 2, tick, /*threaded=*/true});
+    cases.push_back({AlgorithmKind::kDribble, 2, tick});
   }
   return cases;
 }
@@ -903,8 +897,7 @@ std::string CutCrashCaseName(
     const ::testing::TestParamInfo<CutCrashCase>& info) {
   std::string name = std::string(GetTraits(info.param.kind).short_name) +
                      "_k" + std::to_string(info.param.num_shards) + "_tick" +
-                     std::to_string(info.param.crash_tick) +
-                     (info.param.threaded ? "" : "_inline");
+                     std::to_string(info.param.crash_tick);
   for (auto& c : name) {
     if (c == '-') c = '_';
   }
@@ -1009,15 +1002,14 @@ TEST_F(ShardedEngineTest, TornCutManifestFallsBackToPerShardRecovery) {
 struct FuzzShape {
   AlgorithmKind kind;
   uint32_t num_shards;
-  bool threaded;
   uint64_t crash_tick;
   bool with_cut;
   uint64_t request_at;
 };
 
 TEST_F(ShardedEngineTest, SeededRandomizedFleetCrashInjection) {
-  // Randomized sweep over (algorithm, shard count, threaded/inline, crash
-  // tick, cut-in-flight-or-not). The seed is printed via SCOPED_TRACE on
+  // Randomized sweep over (algorithm, shard count, crash tick,
+  // cut-in-flight-or-not). The seed is printed via SCOPED_TRACE on
   // any failure; set TP_FLEET_FUZZ_SEED to replay a reported failure
   // exactly.
   uint64_t seed;
@@ -1038,14 +1030,12 @@ TEST_F(ShardedEngineTest, SeededRandomizedFleetCrashInjection) {
     FuzzShape shape;
     shape.kind = kinds[rng() % std::size(kinds)];
     shape.num_shards = 2 + static_cast<uint32_t>(rng() % 3);
-    shape.threaded = (rng() & 1) != 0;
     shape.crash_tick = rng() % 20;
     shape.with_cut = (rng() & 1) != 0;
     shape.request_at = rng() % (shape.crash_tick + 1);
     SCOPED_TRACE("iter " + std::to_string(iter) + ": " +
                  std::string(AlgorithmName(shape.kind)) + " K=" +
-                 std::to_string(shape.num_shards) +
-                 (shape.threaded ? " threaded" : " inline") + " crash@" +
+                 std::to_string(shape.num_shards) + " crash@" +
                  std::to_string(shape.crash_tick) +
                  (shape.with_cut
                       ? " cut-requested@" + std::to_string(shape.request_at)
@@ -1053,7 +1043,6 @@ TEST_F(ShardedEngineTest, SeededRandomizedFleetCrashInjection) {
 
     auto config = Config(shape.kind, shape.num_shards);
     config.shard.dir = dir_ + "/iter" + std::to_string(iter);
-    config.threaded = shape.threaded;
     auto fleet_or = Fleet::Create(config.shard.dir, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
     ShardedEngine& engine = fleet_or.value()->engine();

@@ -13,7 +13,10 @@
 // generation table with each generation's kind (image copy, log
 // generation, or zero birth state) and on-disk bytes, the archived
 // logical-log segments, the retained (restorable) tick window, and what
-// the next compaction pass would drop or rewrite under the given policy.
+// the next compaction pass would drop or rewrite. The plan uses the
+// retention policy of the fleet manifest in the shard directory's parent
+// (the fleet root) when there is one, else RetentionPolicy's defaults;
+// --max-generations and --max-retained-ticks override either.
 //
 // Inspection is strictly read-only: the stores are opened without write
 // access and --history only ever reads the index, so pointing this tool
@@ -26,6 +29,7 @@
 #include "engine/checkpoint_store.h"
 #include "engine/compactor.h"
 #include "engine/engine.h"
+#include "engine/fleet_manifest.h"
 #include "engine/history.h"
 #include "engine/logical_log.h"
 #include "util/flags.h"
@@ -53,6 +57,37 @@ std::string GenerationKind(const HistoryIndex::Generation& gen) {
   return "?";
 }
 
+/// The retention policy the engine applies to the shard in `dir`: the one
+/// recorded in the fleet manifest next to it (a shard directory sits
+/// directly under its fleet root unless a migration mounted it elsewhere),
+/// else the defaults. Flags override either. `*source` names the origin.
+RetentionPolicy PlanningPolicy(const std::string& dir, const Flags& flags,
+                               std::string* source) {
+  std::string shard_dir = dir;
+  while (shard_dir.size() > 1 && shard_dir.back() == '/') shard_dir.pop_back();
+  std::string root = std::filesystem::path(shard_dir).parent_path().string();
+  if (root.empty()) root = ".";
+  RetentionPolicy policy;
+  auto manifest_or = ReadNewestFleetManifest(root);
+  if (manifest_or.ok()) {
+    policy = manifest_or->config.shard.retention;
+    *source = "the fleet manifest (epoch " +
+              std::to_string(manifest_or->epoch) + ") in " + root;
+  } else {
+    *source = "RetentionPolicy defaults (no readable fleet manifest in " +
+              root + ": " + manifest_or.status().ToString() + ")";
+  }
+  policy.enabled = true;
+  if (flags.Has("max-generations") || flags.Has("max-retained-ticks")) {
+    *source += ", overridden by flags";
+  }
+  policy.max_generations = static_cast<uint64_t>(flags.GetInt64(
+      "max-generations", static_cast<int64_t>(policy.max_generations)));
+  policy.max_retained_ticks = static_cast<uint64_t>(flags.GetInt64(
+      "max-retained-ticks", static_cast<int64_t>(policy.max_retained_ticks)));
+  return policy;
+}
+
 /// The --history mode: generation table, retained window, compaction
 /// eligibility. Read-only (ReadIndex + ComputeWindow + a pure plan).
 int InspectHistory(const std::string& dir, const Flags& flags) {
@@ -72,21 +107,22 @@ int InspectHistory(const std::string& dir, const Flags& flags) {
   }
   const HistoryIndex& index = index_or.value();
 
-  RetentionPolicy policy;
-  policy.enabled = true;
-  policy.max_generations = static_cast<uint64_t>(flags.GetInt64(
-      "max-generations", static_cast<int64_t>(policy.max_generations)));
-  policy.max_retained_ticks = static_cast<uint64_t>(
-      flags.GetInt64("max-retained-ticks", 0));
+  std::string policy_source;
+  const RetentionPolicy policy = PlanningPolicy(dir, flags, &policy_source);
   const CompactionPlan plan = PlanCompaction(index, policy);
 
   std::printf("history of %s (%zu generations on %llu bases, %zu segments, "
-              "%llu bytes, %llu compactions so far)\n\n",
+              "%llu bytes, %llu compactions so far)\n",
               dir.c_str(), index.generations.size(),
               static_cast<unsigned long long>(index.Bases()),
               index.segments.size(),
               static_cast<unsigned long long>(index.TotalBytes()),
               static_cast<unsigned long long>(index.compactions_run));
+  std::printf("compaction policy: max-generations=%llu "
+              "max-retained-ticks=%llu, from %s\n\n",
+              static_cast<unsigned long long>(policy.max_generations),
+              static_cast<unsigned long long>(policy.max_retained_ticks),
+              policy_source.c_str());
 
   if (!index.generations.empty()) {
     TablePrinter table({"generation", "kind", "consistent through tick",
