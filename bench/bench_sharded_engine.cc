@@ -749,8 +749,9 @@ int main(int argc, char** argv) {
         "batches), 'disk recover' the conventional restore+replay of the "
         "same dead shard directory, and 'resume' the bootstrap checkpoint "
         "+ runner restart that returns the shard to service; expect the "
-        "memory path >= 10x faster than disk -- it never touches the "
-        "recovery disk -- with 'exact' confirming the two rebuilds "
+        "memory path faster than disk -- it never touches the recovery "
+        "disk, but it still copies the whole partition, so a large state "
+        "narrows the gap -- with 'exact' confirming the two rebuilds "
         "digest-match\n");
   }
 

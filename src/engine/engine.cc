@@ -76,6 +76,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const EngineConfig& config) {
   if (config.dir.empty()) {
     return Status::InvalidArgument("EngineConfig.dir must be set");
   }
+  TP_RETURN_NOT_OK(CheckRetention(config.retention, config.algorithm));
   TP_RETURN_NOT_OK(RemoveStaleCheckpointFiles(config.dir));
   std::unique_ptr<Engine> engine(new Engine(config));
   TP_RETURN_NOT_OK(engine->OpenStores());
@@ -96,6 +97,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::OpenResumed(
   if (initial.layout().num_objects() != config.layout.num_objects()) {
     return Status::InvalidArgument("initial state layout mismatch");
   }
+  TP_RETURN_NOT_OK(CheckRetention(config.retention, config.algorithm));
   std::unique_ptr<Engine> engine(new Engine(config));
   std::memcpy(engine->state_.mutable_data(), initial.data(),
               initial.buffer_bytes());
@@ -161,28 +163,25 @@ Status Engine::WriteBootstrapCheckpoint() {
     TP_RETURN_NOT_OK(backup_->BeginCheckpoint(1));
     backup_written_[0] = true;
     next_backup_ = 1;
-  } else {
-    checkpoint_seq_ = 1;
-    const uint64_t gen = log_->NextFreshGeneration();
-    TP_RETURN_NOT_OK(log_->BeginGeneration(gen));
-    TP_RETURN_NOT_OK(log_->BeginSegment(0, tick_, /*full_flush=*/true, n));
-    for (ObjectId o = 0; o < n; ++o) {
-      TP_RETURN_NOT_OK(log_->AppendObject(o, state_.ObjectData(o)));
-    }
-    TP_RETURN_NOT_OK(log_->CommitSegment());
-    // Every stale generation leaves the shard directory now (into history
-    // when a record references it), whatever number it reached.
-    TP_RETURN_NOT_OK(RetireLogGenerationsBefore(gen));
-    next_log_gen_ = gen + 1;
-    log_started_ = true;
+    return Status::OK();
   }
+  checkpoint_seq_ = 1;
+  const uint64_t gen = log_->NextFreshGeneration();
+  TP_RETURN_NOT_OK(log_->BeginGeneration(gen));
+  TP_RETURN_NOT_OK(log_->BeginSegment(0, tick_, /*full_flush=*/true, n));
+  for (ObjectId o = 0; o < n; ++o) {
+    TP_RETURN_NOT_OK(log_->AppendObject(o, state_.ObjectData(o)));
+  }
+  TP_RETURN_NOT_OK(log_->CommitSegment());
+  // Every stale generation leaves the shard directory now (into history
+  // when a record references it), whatever number it reached.
+  TP_RETURN_NOT_OK(RetireLogGenerationsBefore(gen));
+  next_log_gen_ = gen + 1;
+  log_started_ = true;
   // The resumed state is durable: record it as this incarnation's base
   // generation (skipped when the previous timeline already holds a
   // generation at this tick).
   if (history_ == nullptr) return Status::OK();
-  if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    return history_->RecordGeneration(state_, tick_);
-  }
   return history_->RecordLogGeneration(
       log_->current_generation(), log_->current_generation_base_tick(),
       tick_, log_->current_generation_bytes());
@@ -534,10 +533,8 @@ Status Engine::ExecuteJob(const Job& job) {
       state_crc = Crc32(aux_.data(), state_.buffer_bytes());
     }
     if (crashed()) return Status::Internal("crash injected");
-    TP_RETURN_NOT_OK(backup_->FinishCheckpoint(backup_index, job.seq,
-                                               job.consistent_ticks,
-                                               state_crc));
-    return ArchiveCompletedCheckpoint(job);
+    return backup_->FinishCheckpoint(backup_index, job.seq,
+                                     job.consistent_ticks, state_crc);
   }
 
   // Log organization. Appends are torn-safe (trailing segment CRC) and
@@ -564,7 +561,12 @@ Status Engine::ExecuteJob(const Job& job) {
   if (job.new_generation) {
     TP_RETURN_NOT_OK(RetireLogGenerationsBefore(job.log_gen));
   }
-  return ArchiveCompletedCheckpoint(job);
+  if (history_ == nullptr) return Status::OK();
+  // Retention: the committed segment is the generation. History references
+  // the LogStore's own file, scanned through this consistent tick.
+  return history_->RecordLogGeneration(
+      job.log_gen, log_->current_generation_base_tick(), job.consistent_ticks,
+      log_->current_generation_bytes());
 }
 
 Status Engine::WriteCheckpointObjects(const Job& job, IoBackend* backend,
@@ -587,26 +589,6 @@ Status Engine::WriteCheckpointObjects(const Job& job, IoBackend* backend,
     TP_RETURN_NOT_OK(session.Add(o, src));
   }
   return session.Finish();
-}
-
-Status Engine::ArchiveCompletedCheckpoint(const Job& job) {
-  if (history_ == nullptr) return Status::OK();
-  if (traits_.disk == DiskOrganization::kLog) {
-    // The committed segment is the generation: history references the
-    // LogStore's own file, scanned through this consistent tick.
-    return history_->RecordLogGeneration(
-        job.log_gen, log_->current_generation_base_tick(),
-        job.consistent_ticks, log_->current_generation_bytes());
-  }
-  // The double-backup images are overwritten in place, so history keeps a
-  // copy. It is read back from the store rather than snapshotted from live
-  // state: the durable checkpoint is exactly the tick-consistent bytes the
-  // generation must mirror, and the mutator may already be ticks ahead.
-  if (history_scratch_ == nullptr) {
-    history_scratch_ = std::make_unique<StateTable>(config_.layout);
-  }
-  TP_RETURN_NOT_OK(backup_->ReadAll(job.backup_index, history_scratch_.get()));
-  return history_->RecordGeneration(*history_scratch_, job.consistent_ticks);
 }
 
 Status Engine::CompletePendingCheckpoint() {

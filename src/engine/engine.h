@@ -81,9 +81,11 @@ struct EngineConfig {
   /// writer thread, the only backend. Never persisted.
   IoBackendKind io_backend = IoBackendKind::kAsync;
   /// Point-in-time recovery history (engine/history.h): when enabled,
-  /// every completed checkpoint is additionally archived as a generation
-  /// under `<dir>/history`, bounded by the policy. Persisted fleet-wide in
-  /// the v4 manifest, not per-engine.
+  /// every completed checkpoint is also recorded as a generation under
+  /// `<dir>/history`, bounded by the policy. Log-organization algorithms
+  /// only: Open and OpenResumed refuse it on double backup
+  /// (CheckRetention). Persisted fleet-wide in the v4 manifest, not
+  /// per-engine.
   RetentionPolicy retention;
 };
 
@@ -140,7 +142,8 @@ struct EngineMetrics {
 class Engine {
  public:
   /// Creates the engine, its checkpoint store, and a fresh logical log
-  /// under config.dir.
+  /// under config.dir. Open and OpenResumed return InvalidArgument before
+  /// touching the disk when CheckRetention refuses config.retention.
   static StatusOr<std::unique_ptr<Engine>> Open(const EngineConfig& config);
 
   /// Re-opens an engine from recovered state: the shard-restart workflow.
@@ -292,11 +295,6 @@ class Engine {
   /// `emit`; returns once every emitted run's write has completed.
   Status WriteCheckpointObjects(const Job& job, IoBackend* backend,
                                 CheckpointWriteSession::EmitRun emit);
-  /// Retention only: records the just-committed checkpoint as a history
-  /// generation. A log checkpoint is referenced where the LogStore wrote
-  /// it; a double-backup image is read back out of the store and copied.
-  /// Runs on the writer thread right after the checkpoint's commit point.
-  Status ArchiveCompletedCheckpoint(const Job& job);
   /// Log organization: retires the generations below `gen` once `gen`'s
   /// full flush is durable (into history when retention references them,
   /// deleted otherwise).
@@ -316,12 +314,11 @@ class Engine {
   std::unique_ptr<BackupStore> backup_;
   std::unique_ptr<LogStore> log_;
   std::unique_ptr<LogicalLog> logical_;
-  /// Non-null iff config.retention.enabled. Touched by the open path
-  /// (before the writer starts) and by the writer thread afterwards.
+  /// Non-null iff config.retention.enabled, which implies the log
+  /// organization: each committed log checkpoint is recorded where the
+  /// LogStore wrote it. Touched by the open path (before the writer
+  /// starts) and by the writer thread afterwards.
   std::unique_ptr<ShardHistory> history_;
-  /// Writer-thread scratch for reading committed double-backup images
-  /// back out of the store during archival; allocated lazily on first use.
-  std::unique_ptr<StateTable> history_scratch_;
 
   AtomicBitMap dirty_[2];     // per-backup dirty bits (log family uses [0])
   AtomicBitMap write_set_;    // snapshot of the active checkpoint's members

@@ -94,6 +94,8 @@ class Fleet {
   /// with `root`). FailedPrecondition if `root` already holds a fleet
   /// manifest OR shard directories (a pre-manifest fleet) -- creation
   /// never silently clobbers existing fleet data (use Open to reopen one).
+  /// InvalidArgument, before `root` is created, for retention on a
+  /// double-backup algorithm (CheckRetention).
   static StatusOr<std::unique_ptr<Fleet>> Create(
       const std::string& root, const ShardedEngineConfig& config);
 

@@ -17,7 +17,6 @@ namespace {
 
 constexpr uint64_t kIndexMagic = 0x5849545349485054ULL;  // "TPHISTIX"
 constexpr uint32_t kIndexVersion = 2;
-constexpr uint64_t kGenerationMagic = 0x3147545349485054ULL;  // "TPHISTG1"
 
 // index.bin layout: header, generation records, segment records, chained
 // CRC32 over everything before it. All structs are padding-free.
@@ -51,25 +50,6 @@ struct SegmentRecord {
   uint64_t bytes = 0;
 };
 static_assert(sizeof(SegmentRecord) == 32);
-
-// gen-<seq>.img layout: this header (its own CRC over the preceding
-// fields), then the raw state buffer (num_objects * object_size bytes,
-// covered by state_crc).
-struct GenerationHeader {
-  uint64_t magic = 0;
-  uint64_t seq = 0;
-  uint64_t consistent_tick = 0;
-  uint64_t num_objects = 0;
-  uint64_t object_size = 0;
-  uint32_t state_crc = 0;
-  uint32_t header_crc = 0;
-};
-static_assert(sizeof(GenerationHeader) == 48);
-
-std::string GenerationPath(const std::string& shard_dir, uint64_t seq) {
-  return paths::HistoryDir(shard_dir) + "/" +
-         paths::HistoryGenerationFileName(seq);
-}
 
 std::string SegmentPath(const std::string& shard_dir, uint64_t id) {
   return paths::HistoryDir(shard_dir) + "/" +
@@ -120,16 +100,27 @@ StatusOr<uint64_t> ReplayLogicalLog(const std::string& shard_dir,
 
 }  // namespace
 
+Status CheckRetention(const RetentionPolicy& policy, AlgorithmKind algorithm) {
+  if (!policy.Valid()) {
+    return Status::InvalidArgument(
+        "invalid RetentionPolicy (max_generations must be >= 1)");
+  }
+  if (policy.enabled && GetTraits(algorithm).disk != DiskOrganization::kLog) {
+    return Status::InvalidArgument(
+        std::string("retention needs a log-organization algorithm, not ") +
+        AlgorithmName(algorithm) +
+        " (Copy-on-Update users run kCopyOnUpdatePartialRedo)");
+  }
+  return Status::OK();
+}
+
 uint64_t HistoryIndex::TotalBytes() const {
   uint64_t total = 0;
   std::map<uint64_t, uint64_t> log_files;  // log_gen -> longest prefix
   for (const Generation& g : generations) {
-    if (g.kind == Generation::Kind::kLog) {
-      uint64_t& bytes = log_files[g.log_gen];
-      bytes = std::max(bytes, g.bytes);
-    } else {
-      total += g.bytes;
-    }
+    if (g.kind != Generation::Kind::kLog) continue;  // kZero has no file
+    uint64_t& bytes = log_files[g.log_gen];
+    bytes = std::max(bytes, g.bytes);
   }
   for (const auto& [log_gen, bytes] : log_files) total += bytes;
   for (const auto& s : segments) total += s.bytes;
@@ -201,7 +192,8 @@ StatusOr<HistoryIndex> ShardHistory::ReadIndex(const std::string& shard_dir) {
     GenerationRecord record;
     std::memcpy(&record, cursor, sizeof(record));
     cursor += sizeof(record);
-    if (record.kind > static_cast<uint32_t>(Kind::kZero)) {
+    if (record.kind != static_cast<uint32_t>(Kind::kLog) &&
+        record.kind != static_cast<uint32_t>(Kind::kZero)) {
       return Status::Corruption("history index " + path +
                                 " has a generation of unknown kind " +
                                 std::to_string(record.kind));
@@ -280,12 +272,7 @@ Status ShardHistory::SweepOrphans() {
     const std::string name = entry.path().filename().string();
     uint64_t id = 0;
     bool doomed = false;
-    if (paths::ParseHistoryGenerationFileName(name, &id)) {
-      doomed = std::none_of(index_.generations.begin(),
-                            index_.generations.end(), [id](const auto& g) {
-                              return g.kind == Kind::kImage && g.seq == id;
-                            });
-    } else if (paths::ParseLogGenerationFileName(name, &id)) {
+    if (paths::ParseLogGenerationFileName(name, &id)) {
       doomed = !index_.ReferencesLog(id);
     } else if (paths::ParseHistorySegmentFileName(name, &id)) {
       doomed = std::none_of(index_.segments.begin(), index_.segments.end(),
@@ -306,10 +293,6 @@ Status ShardHistory::SweepOrphans() {
 StatusOr<std::unique_ptr<ShardHistory>> ShardHistory::Open(
     const std::string& shard_dir, const StateLayout& layout,
     const RetentionPolicy& policy, bool fsync) {
-  if (!policy.Valid()) {
-    return Status::InvalidArgument(
-        "invalid RetentionPolicy (max_generations must be >= 1)");
-  }
   std::unique_ptr<ShardHistory> history(
       new ShardHistory(shard_dir, layout, policy, fsync));
   TP_RETURN_NOT_OK(EnsureDirectory(paths::HistoryDir(shard_dir)));
@@ -360,56 +343,23 @@ StatusOr<uint64_t> ShardHistory::LoadGeneration(
     out->Clear();
     return c;
   }
-  if (generation.kind == Kind::kLog) {
-    const std::string path = LocateLogGeneration(shard_dir, generation.log_gen);
-    if (!FileExists(path)) {
-      return Status::Corruption("history generation " +
-                                std::to_string(generation.seq) +
-                                " references the missing " + path);
-    }
-    auto image_or = LogStore::RestoreGenerationFile(path, out, c);
-    if (!image_or.ok() && image_or.status().code() != StatusCode::kNotFound &&
-        image_or.status().code() != StatusCode::kCorruption) {
-      return image_or.status();
-    }
-    if (!image_or.ok() ||
-        image_or->consistent_tick < generation.log_base_tick) {
-      return Status::Corruption(
-          path + " does not reach history generation " +
-          std::to_string(generation.seq) + "'s base tick " +
-          std::to_string(generation.log_base_tick));
-    }
-    return image_or->consistent_tick;
+  const std::string path = LocateLogGeneration(shard_dir, generation.log_gen);
+  if (!FileExists(path)) {
+    return Status::Corruption("history generation " +
+                              std::to_string(generation.seq) +
+                              " references the missing " + path);
   }
-  const std::string path = GenerationPath(shard_dir, generation.seq);
-  FileReader reader;
-  TP_RETURN_NOT_OK(reader.Open(path));
-  GenerationHeader header;
-  TP_RETURN_NOT_OK(reader.ReadExact(&header, sizeof(header)));
-  if (header.magic != kGenerationMagic ||
-      header.header_crc !=
-          Crc32(&header, sizeof(header) - sizeof(header.header_crc))) {
-    return Status::Corruption("history generation " + path +
-                              " has a torn header");
+  auto image_or = LogStore::RestoreGenerationFile(path, out, c);
+  if (!image_or.ok() && image_or.status().code() != StatusCode::kNotFound &&
+      image_or.status().code() != StatusCode::kCorruption) {
+    return image_or.status();
   }
-  if (header.seq != generation.seq || header.consistent_tick != c) {
-    return Status::Corruption("history generation " + path + " records seq " +
-                              std::to_string(header.seq) + " at tick " +
-                              std::to_string(header.consistent_tick));
+  if (!image_or.ok() || image_or->consistent_tick < generation.log_base_tick) {
+    return Status::Corruption(path + " does not reach history generation " +
+                              std::to_string(generation.seq) + "'s base tick " +
+                              std::to_string(generation.log_base_tick));
   }
-  if (header.num_objects != out->layout().num_objects() ||
-      header.object_size != out->layout().object_size) {
-    return Status::Corruption("history generation " + path +
-                              " has a mismatched geometry");
-  }
-  const uint64_t payload = header.num_objects * header.object_size;
-  TP_CHECK(payload == out->buffer_bytes());
-  TP_RETURN_NOT_OK(reader.ReadExact(out->mutable_data(), payload));
-  if (Crc32(out->data(), payload) != header.state_crc) {
-    return Status::Corruption("history generation " + path +
-                              " fails its state CRC");
-  }
-  return c;
+  return image_or->consistent_tick;
 }
 
 StatusOr<HistoryWindow> ShardHistory::ComputeWindow(
@@ -466,37 +416,6 @@ Status ShardHistory::Append(HistoryIndex::Generation generation) {
   index_.next_generation_seq = generation.seq + 1;
   TP_RETURN_NOT_OK(WriteIndex());
   return Compact(nullptr);
-}
-
-Status ShardHistory::RecordGeneration(const StateTable& state,
-                                      uint64_t consistent_tick) {
-  TP_CHECK(state.layout().num_objects() == layout_.num_objects());
-  if (!index_.generations.empty() &&
-      consistent_tick <= index_.generations.back().consistent_tick) {
-    return Status::OK();  // see Append
-  }
-  const uint64_t seq = index_.next_generation_seq;
-  const std::string path = GenerationPath(shard_dir_, seq);
-  GenerationHeader header;
-  header.magic = kGenerationMagic;
-  header.seq = seq;
-  header.consistent_tick = consistent_tick;
-  header.num_objects = layout_.num_objects();
-  header.object_size = layout_.object_size;
-  header.state_crc = Crc32(state.data(), state.buffer_bytes());
-  header.header_crc =
-      Crc32(&header, sizeof(header) - sizeof(header.header_crc));
-  FileWriter writer;
-  TP_RETURN_NOT_OK(writer.Open(path));
-  TP_RETURN_NOT_OK(writer.Append(&header, sizeof(header)));
-  TP_RETURN_NOT_OK(writer.Append(state.data(), state.buffer_bytes()));
-  if (fsync_) TP_RETURN_NOT_OK(writer.Sync());
-  const uint64_t bytes = writer.bytes_written();
-  TP_RETURN_NOT_OK(writer.Close());
-  if (TakeCrashPoint(HistoryCrashPoint::kAfterGenerationFile)) {
-    return InjectedCrash();
-  }
-  return Append({seq, consistent_tick, bytes, Kind::kImage, 0, 0});
 }
 
 Status ShardHistory::RecordLogGeneration(uint64_t log_gen, uint64_t base_tick,
@@ -619,9 +538,6 @@ Status ShardHistory::TruncateAbove(uint64_t first_tick) {
   next.generations.clear();
   for (const auto& g : index_.generations) {
     if (g.consistent_tick > first_tick) {
-      if (g.kind == Kind::kImage) {
-        doomed.push_back(GenerationPath(shard_dir_, g.seq));
-      }
       changed = true;
     } else {
       next.generations.push_back(g);
@@ -736,13 +652,8 @@ Status ShardHistory::Compact(CompactionStats* stats) {
     }
   }
   for (uint64_t seq : plan.drop_generations) {
-    std::erase_if(next.generations, [&](const auto& g) {
-      if (g.seq != seq) return false;
-      if (g.kind == Kind::kImage) {
-        doomed.push_back(GenerationPath(shard_dir_, seq));
-      }
-      return true;
-    });
+    std::erase_if(next.generations,
+                  [seq](const auto& g) { return g.seq == seq; });
   }
   for (uint64_t id : plan.drop_segments) {
     doomed.push_back(SegmentPath(shard_dir_, id));

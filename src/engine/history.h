@@ -1,7 +1,10 @@
-// Point-in-time recovery history (ROADMAP item 4, WiredTiger's staged
-// checkpoint + history store shape): under a RetentionPolicy, checkpoints
-// become *generations* instead of being retired. A generation is one of
-// three kinds:
+// Point-in-time recovery history (WiredTiger's staged checkpoint +
+// history store shape): under a RetentionPolicy, checkpoints become
+// *generations* instead of being retired. History runs only on the log
+// organization (Partial-Redo and Copy-on-Update-Partial-Redo), whose
+// checkpoints it can reference where the LogStore wrote them; the
+// double-backup organization overwrites its images in place and refuses
+// retention (CheckRetention). A generation is one of two kinds:
 //
 //   log    "log-G.img scanned through C": a log-organization checkpoint is
 //          its LogStore generation file read up to consistent tick C. No
@@ -9,9 +12,6 @@
 //          Once a newer full flush retires G, the file is cut back to its
 //          own full flush (base tick B): a restore loads that and replays
 //          the logical log over [B, C), which the history keeps;
-//   image  a double-backup checkpoint, copied to gen-<seq>.img (the
-//          in-place backup images are overwritten, so they cannot be
-//          referenced);
 //   zero   the birth state at tick 0, recorded without a file.
 //
 // Each shard keeps, inside `<shard>/history/`:
@@ -22,10 +22,6 @@
 //                  retired it and cut back to that first segment (a record
 //                  whose generation is still live references the shard
 //                  directory's file: readers look here first, then there);
-//   gen-<seq>.img  a self-describing full-state image (own CRC'd header
-//                  recording seq / consistent tick / geometry, plus a CRC
-//                  over the payload), written right after the double-backup
-//                  checkpoint it mirrors became durable;
 //   seg-<id>.log   an archived slice of a previous incarnation's logical
 //                  log, byte-identical to the live logical.log record
 //                  format (LogicalLog::Replay works on it unchanged);
@@ -33,9 +29,9 @@
 //                  to generations and segments.
 //
 // Retention counts bases, not records: a base is what a restore loads
-// before it replays the logical log. An image or zero generation is its
-// own base; the records of one LogStore generation share its full flush.
-// Each retained log generation costs one full flush whatever number of
+// before it replays the logical log. A zero generation is its own base;
+// the records of one LogStore generation share its full flush. Each
+// retained log generation costs one full flush whatever number of
 // checkpoints it holds, so the disk a window needs does not depend on how
 // the checkpoints fell between full flushes.
 //
@@ -64,6 +60,7 @@
 #include <string>
 #include <vector>
 
+#include "core/algorithm.h"
 #include "engine/state_table.h"
 #include "model/layout.h"
 #include "util/status.h"
@@ -73,13 +70,14 @@ namespace tickpoint {
 struct CompactionStats;
 
 /// How much history a shard retains. Persisted in the v4 fleet manifest so
-/// the writer and every post-crash reader agree on the window.
+/// the writer and every post-crash reader agree on the window. Enabled only
+/// with a log-organization algorithm (CheckRetention).
 struct RetentionPolicy {
   /// Off (the default): checkpoints retire as before, no history dir.
   bool enabled = false;
   /// Keep the generations of at most this many bases (the newest always
-  /// survives): each image or zero generation is one base, and all records
-  /// of one LogStore generation share one.
+  /// survives): the zero generation is one base, and all records of one
+  /// LogStore generation share one.
   uint64_t max_generations = 4;
   /// Additionally drop generations whose consistent tick trails the newest
   /// by more than this many ticks. 0 = bounded by max_generations only.
@@ -89,24 +87,32 @@ struct RetentionPolicy {
   bool operator==(const RetentionPolicy&) const = default;
 };
 
+/// InvalidArgument when `policy` is invalid, or enabled with a
+/// double-backup algorithm: history keeps only LogStore generations, so a
+/// Copy-on-Update user who wants point-in-time recovery runs
+/// kCopyOnUpdatePartialRedo. Every open path calls this before it touches
+/// the disk.
+Status CheckRetention(const RetentionPolicy& policy, AlgorithmKind algorithm);
+
 /// In-memory form of index.bin.
 struct HistoryIndex {
   struct Generation {
-    enum class Kind : uint32_t { kImage = 0, kLog = 1, kZero = 2 };
+    /// On disk as uint32; 0 is the image kind of older writers, which a
+    /// reader reports as Corruption.
+    enum class Kind : uint32_t { kLog = 1, kZero = 2 };
     uint64_t seq = 0;
     uint64_t consistent_tick = 0;  // effects of ticks [0, C) included
-    /// kImage: size of gen-<seq>.img; kLog: bytes of log-<log_gen>.img
-    /// through C while G is live, through its full flush once retired;
-    /// kZero: 0.
+    /// kLog: bytes of log-<log_gen>.img through C while G is live, through
+    /// its full flush once retired; kZero: 0.
     uint64_t bytes = 0;
-    Kind kind = Kind::kImage;
+    Kind kind = Kind::kLog;
     uint64_t log_gen = 0;  // kLog only: the LogStore generation G
     /// kLog only: the consistent tick of G's full flush.
     uint64_t log_base_tick = 0;
     bool operator==(const Generation&) const = default;
 
     /// Tick the payload alone restores: G's full flush for kLog (the
-    /// logical log bridges [base_tick, C)), C for the other kinds.
+    /// logical log bridges [base_tick, C)), 0 for kZero.
     uint64_t base_tick() const {
       return kind == Kind::kLog ? log_base_tick : consistent_tick;
     }
@@ -155,8 +161,6 @@ struct HistoryWindow {
 /// what a crash there would leave), as Internal("crash injected").
 enum class HistoryCrashPoint {
   kNone = 0,
-  /// Archival: generation image durable, index not yet rewritten.
-  kAfterGenerationFile,
   /// Retirement: one referenced LogStore generation renamed into history/,
   /// not yet cut back to its full flush; the rest of the retirement, its
   /// directory fsyncs and its index commit not done.
@@ -182,8 +186,8 @@ class ShardHistory {
  public:
   /// Opens (creating if needed) `<shard_dir>/history`, loads the index
   /// (empty when none exists yet), and sweeps orphaned payload files left
-  /// by an interrupted archival or compaction. Corruption when the index
-  /// file exists but fails its CRC.
+  /// by an interrupted archival or compaction. A torn index is reset. The
+  /// caller has validated `policy` (CheckRetention).
   static StatusOr<std::unique_ptr<ShardHistory>> Open(
       const std::string& shard_dir, const StateLayout& layout,
       const RetentionPolicy& policy, bool fsync);
@@ -204,8 +208,7 @@ class ShardHistory {
                                                 StateTable* out);
 
   /// Loads `generation`'s payload into `out` and returns the tick it
-  /// reached: an image is layout-checked and payload-CRC-verified and
-  /// reaches C, a zero generation clears `out` and reaches 0, a log
+  /// reached: a zero generation clears `out` and reaches 0, a log
   /// generation is scanned as far as its file goes up to C and reaches a
   /// tick in [base_tick(), C]. The caller replays the logical log from the
   /// returned tick. Corruption when the payload reaches no tick in range.
@@ -222,21 +225,18 @@ class ShardHistory {
 
   // ---- Writer side. ----
 
-  /// Archives the current full state as a new image generation with
-  /// consistent tick C, then compacts under the policy (one call per
-  /// completed checkpoint keeps disk self-bounded). Recording a tick at or
-  /// below the newest generation's is a no-op (a crash-retried resume),
-  /// for every kind.
-  Status RecordGeneration(const StateTable& state, uint64_t consistent_tick);
-
   /// Records "LogStore generation `log_gen` scanned through C" as a new
   /// generation whose file holds `bytes` through C and whose full flush is
-  /// consistent at `base_tick`, then compacts. Writes no payload: the
-  /// committed segment is the generation.
+  /// consistent at `base_tick`, then compacts under the policy (one call
+  /// per completed checkpoint keeps disk self-bounded). Writes no payload:
+  /// the committed segment is the generation. Recording a tick at or below
+  /// the newest generation's is a no-op (a crash-retried resume), for
+  /// both kinds.
   Status RecordLogGeneration(uint64_t log_gen, uint64_t base_tick,
                              uint64_t consistent_tick, uint64_t bytes);
 
-  /// Records the zeroed birth state at tick 0, without a file.
+  /// Records the zeroed birth state at tick 0, without a file, then
+  /// compacts.
   Status RecordZeroGeneration();
 
   /// Retires every LogStore generation below `log_gen` in the shard

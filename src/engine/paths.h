@@ -70,7 +70,7 @@ inline bool ParseLogGenerationFileName(const std::string& name,
   return true;
 }
 
-/// Bare name of the per-shard history directory (checkpoint generations,
+/// Bare name of the per-shard history directory (retired log generations,
 /// archived logical-log segments, and the CRC'd history index).
 inline std::string HistoryDirName() { return "history"; }
 
@@ -84,24 +84,6 @@ inline std::string HistoryDir(const std::string& dir) {
 /// interrupted archival and are swept on the next writable open.
 inline std::string HistoryIndexPath(const std::string& dir) {
   return HistoryDir(dir) + "/index.bin";
-}
-
-/// Bare filename of retained checkpoint generation `seq` ("gen-N.img").
-inline std::string HistoryGenerationFileName(uint64_t seq) {
-  return "gen-" + std::to_string(seq) + ".img";
-}
-
-/// True if the bare filename `name` is a history generation image, storing
-/// its sequence number in *seq.
-inline bool ParseHistoryGenerationFileName(const std::string& name,
-                                           uint64_t* seq) {
-  if (name.rfind("gen-", 0) != 0) return false;
-  const char* digits = name.c_str() + 4;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(digits, &end, 10);
-  if (end == digits || std::string(end) != ".img") return false;
-  *seq = parsed;
-  return true;
 }
 
 /// Bare filename of archived logical-log segment `id` ("seg-N.log"). The

@@ -37,19 +37,20 @@ StatusOr<RecoveryResult> RecoverShard(const EngineConfig& config,
   out->Clear();
 
   // Phase 1: the base image, the newest consistent no later than
-  // max_image_tick. A double-backup image is chosen by its header and read
-  // last; the log store rejects generations past the bound by their
-  // headers and restores the newest that qualifies. Recovery only reads:
-  // a checkpoint a crash interrupted left an invalid header, so the
-  // sibling wins.
+  // max_image_tick. A double-backup image is chosen by its header; the log
+  // store rejects generations past the bound by their headers and restores
+  // the newest that qualifies. Recovery only reads: a checkpoint a crash
+  // interrupted left an invalid header, so the sibling wins.
   const auto restore_start = Clock::now();
-  std::unique_ptr<BackupStore> backup;
-  int backup_index = -1;
-  if (GetTraits(config.algorithm).disk == DiskOrganization::kDoubleBackup) {
+  const bool log_organization =
+      GetTraits(config.algorithm).disk == DiskOrganization::kLog;
+  if (!log_organization) {
+    std::unique_ptr<BackupStore> backup;
     TP_ASSIGN_OR_RETURN(backup, BackupStore::Open(config.dir, config.layout,
                                                   config.fsync,
                                                   /*backend=*/nullptr,
                                                   /*writable=*/false));
+    int backup_index = -1;
     for (int index = 0; index < 2; ++index) {
       TP_ASSIGN_OR_RETURN(const ImageInfo info, backup->Inspect(index));
       if (info.valid && info.consistent_tick <= max_image_tick &&
@@ -60,6 +61,7 @@ StatusOr<RecoveryResult> RecoverShard(const EngineConfig& config,
       }
     }
     result.restored_from_checkpoint = backup_index >= 0;
+    if (backup_index >= 0) TP_RETURN_NOT_OK(backup->ReadAll(backup_index, out));
   } else {
     TP_ASSIGN_OR_RETURN(
         auto store, LogStore::Open(config.dir, config.layout, config.fsync));
@@ -73,14 +75,16 @@ StatusOr<RecoveryResult> RecoverShard(const EngineConfig& config,
     }
   }
 
-  // History joins the chain only when an exact target lies before what the
-  // live sources cover: the live log (truncated at the last resume) starts
+  // History joins the chain only on the log organization, the one that
+  // retains it, and only when an exact target lies before what the live
+  // sources cover: the live log (truncated at the last resume) starts
   // after the live base. A newer retained generation then replaces the
   // live base, and the archived segments replay ahead of the live log. No
   // or torn history leaves the live chain and its verdict.
   std::vector<std::string> sources;
   StatusOr<HistoryIndex> index_or = Status::NotFound("history not needed");
-  if (exact && result.image_consistent_ticks != max_image_tick) {
+  if (log_organization && exact &&
+      result.image_consistent_ticks != max_image_tick) {
     TP_ASSIGN_OR_RETURN(const uint64_t live_first,
                         LogicalLog::FirstTick(live_log));
     if (live_first > result.image_consistent_ticks) {
@@ -100,7 +104,6 @@ StatusOr<RecoveryResult> RecoverShard(const EngineConfig& config,
           ShardHistory::LoadGeneration(config.dir, *base, out));
       result.restored_from_checkpoint = true;
       result.image_seq = base->seq;
-      backup_index = -1;
     }
     for (const auto& segment : index_or.value().segments) {
       const std::string path = paths::HistoryDir(config.dir) + "/" +
@@ -108,7 +111,6 @@ StatusOr<RecoveryResult> RecoverShard(const EngineConfig& config,
       if (FileExists(path)) sources.push_back(path);
     }
   }
-  if (backup_index >= 0) TP_RETURN_NOT_OK(backup->ReadAll(backup_index, out));
   result.restore_seconds = SecondsSince(restore_start);
 
   // Phase 2: replay the sources in order through the bound. Every tick

@@ -2,12 +2,14 @@
 // consistent checkpoint, then replay the logical log to the target tick.
 //
 // One shard recovers along one source chain. The base image is the newest
-// of the shard's live checkpoint images and -- only when those and the
-// live logical log cannot reach an exact target -- its retained history
-// generations (engine/history.h), among those consistent no later than
-// the target. The archived log segments and the live logical log are then
-// replayed in order, each applied run starting where the previous one
-// ended. Recover and RecoverToTick are the two bounds of that chain.
+// of the shard's live checkpoint images, among those consistent no later
+// than the target. On the log organization, the only one that retains
+// history, its retained generations (engine/history.h) join the chain when
+// the live images and the live logical log cannot reach an exact target;
+// a double-backup chain is its chosen image and the live logical log. The
+// archived log segments and the live logical log are then replayed in
+// order, each applied run starting where the previous one ended. Recover
+// and RecoverToTick are the two bounds of that chain.
 //
 // A fleet recovers through RecoverFleetTo, which needs only the fleet
 // ROOT: topology, layout, algorithm and every knob come from the durable
@@ -56,9 +58,10 @@ struct RecoveryResult {
 StatusOr<RecoveryResult> Recover(const EngineConfig& config, StateTable* out);
 
 /// Rebuilds the shard's state at EXACTLY the end of `tick`, even when
-/// newer checkpoints exist, reaching into retained history when the live
-/// sources cannot. Corruption when no chain of sources reproduces the tick
-/// (outside the retained window, a gap, or a torn history).
+/// newer checkpoints exist, reaching into retained history (log
+/// organization) when the live sources cannot. Corruption when no chain
+/// of sources reproduces the tick (outside the retained window, a gap, or
+/// a torn history).
 StatusOr<RecoveryResult> RecoverToTick(const EngineConfig& config,
                                        uint64_t tick, StateTable* out);
 

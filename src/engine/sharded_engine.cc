@@ -36,6 +36,10 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
   if (config.shard.dir.empty()) {
     return Status::InvalidArgument("ShardedEngineConfig.shard.dir must be set");
   }
+  // Before anything below touches the root: a refused configuration must
+  // leave an existing fleet's manifests and shards as they were.
+  TP_RETURN_NOT_OK(
+      CheckRetention(config.shard.retention, config.shard.algorithm));
   if (!config.threaded) {
     // Every shard runs on its own mutator thread; the field remains only
     // because existing configs still assign it.

@@ -9,6 +9,7 @@
 #include "engine/engine.h"
 #include "engine/mutator.h"
 #include "engine/recovery.h"
+#include "engine_test_util.h"
 #include "trace/zipf_source.h"
 
 namespace tickpoint {
@@ -84,16 +85,20 @@ TEST_P(HotspotStressTest, HotObjectContentionKeepsImagesConsistent) {
 
   // 2,000 updates per tick into 512 cells (4 atomic objects): the writer
   // and the mutator collide on the same objects checkpoint after
-  // checkpoint.
-  HotspotSource source(layout, 120, 2000, 512);
-  MutatorOptions options;
-  options.crash_after_tick = 119;
-  auto report = RunWorkload(&engine, &source, options);
-  ASSERT_TRUE(report.ok());
+  // checkpoint. At least 120 ticks back to back, then on until two
+  // checkpoints completed, which a busy machine may delay; the trace
+  // length bounds the run.
+  HotspotSource source(layout, 2000, 2000, 512);
+  const auto two_done = [&] {
+    return engine.metrics().checkpoints.size() >= 2;
+  };
+  auto ticks_or = RunWorkloadUntil(&engine, &source, 120, two_done);
+  ASSERT_TRUE(ticks_or.ok());
+  ASSERT_TRUE(engine.SimulateCrash().ok());
   ASSERT_GE(engine.metrics().checkpoints.size(), 2u);
 
   StateTable reference(layout);
-  ApplyWorkloadToTable(&source, 120, &reference);
+  ApplyWorkloadToTable(&source, ticks_or.value(), &reference);
   ASSERT_TRUE(engine.state().ContentEquals(reference));
 
   StateTable recovered(layout);
@@ -126,23 +131,30 @@ TEST_F(EngineStressTest, ManySmallCheckpointsUnderSustainedLoad) {
   config.dir = dir_;
   config.fsync = false;
 
+  // At least 400 ticks back to back, then on until ten checkpoints
+  // completed, which a busy machine may delay; the trace length bounds
+  // the run.
   ZipfTraceConfig trace;
   trace.layout = layout;
-  trace.num_ticks = 400;
+  trace.num_ticks = 4000;
   trace.updates_per_tick = 300;
   trace.theta = 0.9;
   trace.seed = 3;
 
   auto engine_or = Engine::Open(config);
   ASSERT_TRUE(engine_or.ok());
+  Engine& engine = *engine_or.value();
   ZipfUpdateSource source(trace);
-  MutatorOptions options;
-  options.crash_after_tick = 399;
-  ASSERT_TRUE(RunWorkload(engine_or.value().get(), &source, options).ok());
-  EXPECT_GE(engine_or.value()->metrics().checkpoints.size(), 10u);
+  const auto ten_done = [&] {
+    return engine.metrics().checkpoints.size() >= 10;
+  };
+  auto ticks_or = RunWorkloadUntil(&engine, &source, 400, ten_done);
+  ASSERT_TRUE(ticks_or.ok());
+  ASSERT_TRUE(engine.SimulateCrash().ok());
+  EXPECT_GE(engine.metrics().checkpoints.size(), 10u);
 
   StateTable reference(layout);
-  ApplyWorkloadToTable(&source, 400, &reference);
+  ApplyWorkloadToTable(&source, ticks_or.value(), &reference);
   StateTable recovered(layout);
   auto result = Recover(config, &recovered);
   ASSERT_TRUE(result.ok());
@@ -159,17 +171,22 @@ TEST_F(EngineStressTest, AlternatingBackupsConvergeOverManyCycles) {
   config.dir = dir_;
   config.fsync = false;
 
+  // Both images are written only once two checkpoints completed: at least
+  // 200 ticks, then on until they did; the trace length bounds the run.
   ZipfTraceConfig trace;
   trace.layout = layout;
-  trace.num_ticks = 200;
+  trace.num_ticks = 2000;
   trace.updates_per_tick = 200;
   trace.theta = 0.7;
 
   auto engine_or = Engine::Open(config);
   ASSERT_TRUE(engine_or.ok());
   ZipfUpdateSource source(trace);
-  ASSERT_TRUE(RunWorkload(engine_or.value().get(), &source, MutatorOptions{})
-                  .ok());
+  const auto two_done = [&] {
+    return engine_or.value()->metrics().checkpoints.size() >= 2;
+  };
+  ASSERT_TRUE(
+      RunWorkloadUntil(engine_or.value().get(), &source, 200, two_done).ok());
   ASSERT_TRUE(engine_or.value()->Shutdown().ok());
 
   auto store_or = BackupStore::Open(dir_, layout, false);

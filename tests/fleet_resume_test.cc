@@ -431,10 +431,11 @@ TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutFallsBackPerShard) {
 }
 
 TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutLandsFromHistory) {
-  // The same window with retention on: shard 0's resume archived the log
-  // slice the cut depends on before truncating it, so cut recovery --
-  // tick recovery at the cut's tick -- lands on the cut from history.
-  auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
+  // The same window with retention on, which needs the log organization:
+  // shard 0's resume archived the log slice the cut depends on before
+  // truncating it, so cut recovery -- tick recovery at the cut's tick --
+  // lands on the cut from history.
+  auto config = Config(AlgorithmKind::kCopyOnUpdatePartialRedo, 2);
   config.shard.retention.enabled = true;
   config.shard.retention.max_generations = 8;
   std::vector<StateTable> reference;

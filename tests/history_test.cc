@@ -1,5 +1,5 @@
-// Point-in-time recovery (ROADMAP item 4): checkpoint generations,
-// logical-log history retention, and bounded compaction. Four layers under
+// Point-in-time recovery: log-organization checkpoint generations,
+// logical-log history retention, and bounded compaction. Five layers under
 // test:
 //
 //   1. PlanCompaction -- the pure retention policy over a HistoryIndex;
@@ -12,8 +12,11 @@
 //   4. Fleet::RecoverToTick / RestorableWindow end to end -- every tick in
 //      the advertised window restores to a state byte-equal to the
 //      deterministic reference (and digest-equal to the golden battle for
-//      the game workload), under both IO backends, across resume epochs,
-//      and degrading to latest recovery when a shard's index is torn.
+//      the game workload), under both log-organization algorithms, across
+//      resume epochs, and degrading to latest recovery when a shard's
+//      index is torn;
+//   5. the refusal of retention on the double-backup organization, before
+//      any open path touches the disk.
 #include "engine/history.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,8 +49,10 @@ namespace {
 
 // ---- 1. PlanCompaction: pure policy ----
 
+/// A log record that is its own base: LogStore generation `seq`, whose
+/// full flush is consistent at `tick`.
 HistoryIndex::Generation Gen(uint64_t seq, uint64_t tick, uint64_t bytes) {
-  return {seq, tick, bytes};
+  return {seq, tick, bytes, HistoryIndex::Generation::Kind::kLog, seq, tick};
 }
 HistoryIndex::Segment Seg(uint64_t id, uint64_t first, uint64_t last,
                           uint64_t bytes) {
@@ -131,7 +137,7 @@ TEST(CompactorPlanTest, TickBoundDropsTrailersButNeverTheNewest) {
 // ---- 2. ShardHistory protocol: crash-at-every-step sweeps ----
 
 /// Every file in the shard's history/ is index.bin or a payload `index`
-/// references: an image, a retired log generation, or a segment.
+/// references: a retired log generation or a segment.
 void ExpectOnlyReferencedHistoryFiles(const std::string& shard_dir,
                                       const HistoryIndex& index) {
   for (const auto& entry :
@@ -139,12 +145,7 @@ void ExpectOnlyReferencedHistoryFiles(const std::string& shard_dir,
     const std::string name = entry.path().filename().string();
     uint64_t id = 0;
     bool referenced = name == "index.bin";
-    if (paths::ParseHistoryGenerationFileName(name, &id)) {
-      for (const auto& gen : index.generations) {
-        referenced |= gen.kind == HistoryIndex::Generation::Kind::kImage &&
-                      gen.seq == id;
-      }
-    } else if (paths::ParseLogGenerationFileName(name, &id)) {
+    if (paths::ParseLogGenerationFileName(name, &id)) {
       referenced = index.ReferencesLog(id);
     } else if (paths::ParseHistorySegmentFileName(name, &id)) {
       for (const auto& seg : index.segments) {
@@ -276,6 +277,17 @@ class HistoryProtocolTest : public ::testing::Test {
     return bytes;
   }
 
+  /// Writes LogStore generation `gen` as a lone full flush of
+  /// MakeState(salt) consistent at `tick`, retires the generations below it
+  /// as the engine does once a full flush is durable, and records it.
+  Status RecordFullFlush(ShardHistory* history, const std::string& shard_dir,
+                         uint64_t gen, uint32_t salt, uint64_t tick) {
+    const std::vector<uint64_t> bytes =
+        WriteLogGeneration(shard_dir, gen, salt, tick, 0);
+    TP_RETURN_NOT_OK(history->RetireLogGenerations(gen));
+    return history->RecordLogGeneration(gen, tick, tick, bytes[0]);
+  }
+
   /// The LogStore generation numbers present in `dir`.
   static std::vector<uint64_t> LogFilesIn(const std::string& dir) {
     std::vector<uint64_t> gens;
@@ -298,12 +310,13 @@ TEST_F(HistoryProtocolTest, GenerationsRoundTripThroughTheIndex) {
   auto history_or = OpenHistory(shard, 4);
   ASSERT_TRUE(history_or.ok()) << history_or.status().ToString();
   ShardHistory& history = *history_or.value();
-  const StateTable a = MakeState(1), b = MakeState(2);
-  ASSERT_TRUE(history.RecordGeneration(a, 5).ok());
-  ASSERT_TRUE(history.RecordGeneration(b, 10).ok());
+  const StateTable b = MakeState(2);
+  ASSERT_TRUE(RecordFullFlush(&history, shard, 0, 1, 5).ok());
+  ASSERT_TRUE(RecordFullFlush(&history, shard, 1, 2, 10).ok());
   // Re-recording an already-archived consistent tick is an idempotent
   // no-op (the crash-retry path depends on it).
-  ASSERT_TRUE(history.RecordGeneration(b, 10).ok());
+  const uint64_t bytes_b = history.index().generations[1].bytes;
+  ASSERT_TRUE(history.RecordLogGeneration(1, 10, 10, bytes_b).ok());
   ASSERT_EQ(history.index().generations.size(), 2u);
 
   auto index_or = ShardHistory::ReadIndex(shard);
@@ -319,27 +332,32 @@ TEST_F(HistoryProtocolTest, GenerationsRoundTripThroughTheIndex) {
 }
 
 TEST_F(HistoryProtocolTest, RecordGenerationCrashSweep) {
-  const HistoryCrashPoint points[] = {HistoryCrashPoint::kAfterGenerationFile,
-                                      HistoryCrashPoint::kAfterIndexTmp,
+  // A log record writes no payload file, so the index commit is the whole
+  // protocol: its two crash points.
+  const HistoryCrashPoint points[] = {HistoryCrashPoint::kAfterIndexTmp,
                                       HistoryCrashPoint::kAfterIndexRename};
   int i = 0;
   for (const HistoryCrashPoint point : points) {
     SCOPED_TRACE(static_cast<int>(point));
     const std::string shard = FreshShardDir(i++);
-    const StateTable a = MakeState(1), b = MakeState(2);
+    const StateTable b = MakeState(2);
+    uint64_t bytes_b = 0;
     {
       auto history_or = OpenHistory(shard, 4);
       ASSERT_TRUE(history_or.ok());
-      ASSERT_TRUE(history_or.value()->RecordGeneration(a, 5).ok());
-      history_or.value()->SetCrashPointForTest(point);
-      EXPECT_EQ(history_or.value()->RecordGeneration(b, 10).code(),
+      ShardHistory& history = *history_or.value();
+      ASSERT_TRUE(RecordFullFlush(&history, shard, 0, 1, 5).ok());
+      bytes_b = WriteLogGeneration(shard, 1, 2, 10, 0)[0];
+      history.SetCrashPointForTest(point);
+      EXPECT_EQ(history.RecordLogGeneration(1, 10, 10, bytes_b).code(),
                 StatusCode::kInternal);
     }
     // The index on disk is intact (old or new); a writable reopen sweeps
     // whatever the interrupted step left and the retry converges.
     auto reopened_or = OpenHistory(shard, 4);
     ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
-    ASSERT_TRUE(reopened_or.value()->RecordGeneration(b, 10).ok());
+    ASSERT_TRUE(
+        reopened_or.value()->RecordLogGeneration(1, 10, 10, bytes_b).ok());
     ASSERT_EQ(reopened_or.value()->index().generations.size(), 2u);
     EXPECT_EQ(reopened_or.value()->index().generations[1].consistent_tick,
               10u);
@@ -365,9 +383,10 @@ TEST_F(HistoryProtocolTest, ArchiveLiveLogCrashSweep) {
     {
       auto history_or = OpenHistory(shard, 4);
       ASSERT_TRUE(history_or.ok());
-      ASSERT_TRUE(history_or.value()->RecordGeneration(MakeState(1), 5).ok());
-      history_or.value()->SetCrashPointForTest(point);
-      EXPECT_EQ(history_or.value()->ArchiveLiveLog(live, 9).code(),
+      ShardHistory& history = *history_or.value();
+      ASSERT_TRUE(RecordFullFlush(&history, shard, 0, 1, 5).ok());
+      history.SetCrashPointForTest(point);
+      EXPECT_EQ(history.ArchiveLiveLog(live, 9).code(),
                 StatusCode::kInternal);
     }
     auto reopened_or = OpenHistory(shard, 4);
@@ -399,17 +418,18 @@ TEST_F(HistoryProtocolTest, CompactionCrashSweep) {
       auto history_or = OpenHistory(shard, 4);
       ASSERT_TRUE(history_or.ok());
       ShardHistory& history = *history_or.value();
-      ASSERT_TRUE(history.RecordGeneration(MakeState(0), 0).ok());
+      ASSERT_TRUE(history.RecordZeroGeneration().ok());
       ASSERT_TRUE(history.ArchiveLiveLog(live, 4).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(1), 5).ok());
+      ASSERT_TRUE(RecordFullFlush(&history, shard, 0, 1, 5).ok());
       ASSERT_TRUE(history.ArchiveLiveLog(live, 12).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(2), 10).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(3), 15).ok());
+      ASSERT_TRUE(RecordFullFlush(&history, shard, 1, 2, 10).ok());
+      ASSERT_TRUE(RecordFullFlush(&history, shard, 2, 3, 15).ok());
       ASSERT_EQ(history.index().generations.size(), 4u);
       ASSERT_EQ(history.index().segments.size(), 2u);
     }
     // Tighten to two generations: base becomes C=10, segment [0,4] must
-    // drop, segment [5,12] must be rewritten to [10,12] under a new id.
+    // drop, segment [5,12] must be rewritten to [10,12] under a new id,
+    // and the retired log-0.img goes with its only record.
     auto tight_or = OpenHistory(shard, 2);
     ASSERT_TRUE(tight_or.ok());
     tight_or.value()->SetCrashPointForTest(point);
@@ -452,10 +472,10 @@ TEST_F(HistoryProtocolTest, TruncateAboveCrashSweep) {
       auto history_or = OpenHistory(shard, 8);
       ASSERT_TRUE(history_or.ok());
       ShardHistory& history = *history_or.value();
-      ASSERT_TRUE(history.RecordGeneration(MakeState(0), 0).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(1), 5).ok());
+      ASSERT_TRUE(history.RecordZeroGeneration().ok());
+      ASSERT_TRUE(RecordFullFlush(&history, shard, 0, 1, 5).ok());
       ASSERT_TRUE(history.ArchiveLiveLog(live, 9).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(2), 10).ok());
+      ASSERT_TRUE(RecordFullFlush(&history, shard, 1, 2, 10).ok());
     }
     // Resume at tick 6: generation C=10 is the divergent future, segment
     // [0,9] must be trimmed back to [0,5].
@@ -483,7 +503,7 @@ TEST_F(HistoryProtocolTest, TornIndexIsCorruptionForReadersResetForWriters) {
   {
     auto history_or = OpenHistory(shard, 4);
     ASSERT_TRUE(history_or.ok());
-    ASSERT_TRUE(history_or.value()->RecordGeneration(MakeState(1), 5).ok());
+    ASSERT_TRUE(RecordFullFlush(history_or.value().get(), shard, 0, 1, 5).ok());
   }
   const std::string index_path = paths::HistoryIndexPath(shard);
   std::string bytes;
@@ -499,7 +519,44 @@ TEST_F(HistoryProtocolTest, TornIndexIsCorruptionForReadersResetForWriters) {
   auto reopened_or = OpenHistory(shard, 4);
   ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
   EXPECT_TRUE(reopened_or.value()->index().generations.empty());
-  ASSERT_TRUE(reopened_or.value()->RecordGeneration(MakeState(2), 7).ok());
+  ASSERT_TRUE(RecordFullFlush(reopened_or.value().get(), shard, 1, 2, 7).ok());
+  VerifyIntegrity(shard);
+}
+
+TEST_F(HistoryProtocolTest,
+       ImageKindRecordIsCorruptionForReadersResetForWriters) {
+  // Kind 0 was the image generation of double-backup retention, which no
+  // longer exists. An index carrying one, CRC intact, is Corruption like a
+  // torn index: readers fall back to latest, a writable open resets.
+  const std::string shard = FreshShardDir(0);
+  {
+    auto history_or = OpenHistory(shard, 4);
+    ASSERT_TRUE(history_or.ok());
+    ASSERT_TRUE(RecordFullFlush(history_or.value().get(), shard, 0, 1, 5).ok());
+  }
+  ASSERT_TRUE(ShardHistory::ReadIndex(shard).ok());
+  // index.bin: a 48-byte header, then 48-byte generation records whose
+  // uint32 kind sits at offset 40, then segments and a trailing CRC32.
+  const std::string index_path = paths::HistoryIndexPath(shard);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(index_path, &bytes).ok());
+  constexpr size_t kKindOffset = 48 + 40;
+  uint32_t kind = 0;
+  std::memcpy(&kind, &bytes[kKindOffset], sizeof(kind));
+  ASSERT_EQ(kind, static_cast<uint32_t>(HistoryIndex::Generation::Kind::kLog));
+  kind = 0;
+  std::memcpy(&bytes[kKindOffset], &kind, sizeof(kind));
+  bytes.resize(bytes.size() - sizeof(uint32_t));
+  const uint32_t crc = Crc32(bytes.data(), bytes.size());
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  ASSERT_TRUE(WriteStringToFile(index_path, bytes).ok());
+
+  EXPECT_EQ(ShardHistory::ReadIndex(shard).status().code(),
+            StatusCode::kCorruption);
+  auto reopened_or = OpenHistory(shard, 4);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  EXPECT_TRUE(reopened_or.value()->index().generations.empty());
+  ASSERT_TRUE(RecordFullFlush(reopened_or.value().get(), shard, 1, 2, 7).ok());
   VerifyIntegrity(shard);
 }
 
@@ -698,7 +755,7 @@ class HistoryManifestTest : public ::testing::Test {
     manifest.config.num_shards = 2;
     manifest.assignment = {0, 1};
     manifest.config.shard.layout = StateLayout::Small(256, 10);
-    manifest.config.shard.algorithm = AlgorithmKind::kCopyOnUpdate;
+    manifest.config.shard.algorithm = AlgorithmKind::kCopyOnUpdatePartialRedo;
     manifest.config.replica_peer = {1, 0};
     return manifest;
   }
@@ -760,7 +817,7 @@ class FleetPitTest : public ::testing::Test {
 
   ShardedEngineConfig Config(
       uint32_t num_shards,
-      AlgorithmKind algorithm = AlgorithmKind::kCopyOnUpdate) {
+      AlgorithmKind algorithm = AlgorithmKind::kCopyOnUpdatePartialRedo) {
     ShardedEngineConfig config;
     config.shard.layout = ShardLayout();
     config.shard.algorithm = algorithm;
@@ -826,7 +883,7 @@ class FleetPitTest : public ::testing::Test {
   }
 
   /// Every shard keeps only files its history index references: history/
-  /// holds referenced images, log generations and segments, and the shard
+  /// holds referenced log generations and segments, and the shard
   /// directory at most the live log generation.
   void ExpectOnlyReferencedFiles(uint32_t num_shards) {
     for (uint32_t i = 0; i < num_shards; ++i) {
@@ -864,14 +921,17 @@ class FleetPitTest : public ::testing::Test {
   std::string dir_;
 };
 
-/// Both disk organizations: Copy-on-Update writes double-backup images
-/// (history keeps copies), Partial-Redo writes the log (history references
-/// the LogStore's own generation files).
-const AlgorithmKind kBothOrganizations[] = {AlgorithmKind::kCopyOnUpdate,
-                                            AlgorithmKind::kPartialRedo};
+/// Both log-organization algorithms, whose generation files history
+/// references: Partial-Redo copies eagerly, Copy-on-Update-Partial-Redo
+/// copies on update.
+const AlgorithmKind kLogAlgorithms[] = {
+    AlgorithmKind::kPartialRedo, AlgorithmKind::kCopyOnUpdatePartialRedo};
 
-std::string OrganizationName(AlgorithmKind algorithm) {
-  return algorithm == AlgorithmKind::kPartialRedo ? "log" : "double_backup";
+/// A gtest-safe instance name: the algorithm's short name, '-' -> '_'.
+std::string AlgorithmParamName(AlgorithmKind algorithm) {
+  std::string name = GetTraits(algorithm).short_name;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
 }
 
 class FleetPitOrganizationTest
@@ -1071,9 +1131,9 @@ TEST_P(FleetPitOrganizationTest, ResumeStartsANewEpochAndRetiresTheOldFuture) {
 
 TEST_P(FleetPitOrganizationTest, TornHistoryIndexFallsBackToLatestRecovery) {
   // A resume in the middle truncates the live logs and retires the stale
-  // live images (or log generations, into history/), so ticks BEFORE the
-  // resume point are reachable only through the history subsystem --
-  // exactly the regime where a torn index must degrade cleanly.
+  // live log generations into history/, so ticks BEFORE the resume point
+  // are reachable only through the history subsystem -- exactly the
+  // regime where a torn index must degrade cleanly.
   const auto config = Config(2, GetParam());
   constexpr uint64_t kFirstRun = 14;
   std::vector<StateTable> reference;
@@ -1099,7 +1159,7 @@ TEST_P(FleetPitOrganizationTest, TornHistoryIndexFallsBackToLatestRecovery) {
   const uint64_t target = (window_or->low_tick + (kFirstRun - 1)) / 2;
 
   // Sanity: with an intact index this pre-resume tick restores exactly
-  // (through a generation image + archived segments, not the live log).
+  // (through a history generation + archived segments, not the live log).
   ExpectRestoreMatches(target, per_tick);
 
   // Tear shard 0's index: a CRC failure there means real corruption, and
@@ -1136,18 +1196,15 @@ TEST_P(FleetPitOrganizationTest, DiskStaysBoundedAcrossCompactionCycles) {
   }
   const auto config = Config(2, GetParam());
   const StateLayout layout = ShardLayout();
-  // Per retained generation, its file: an image copy, or a LogStore
-  // generation counted once however many records share it -- one full
-  // flush plus at most full_flush_period - 1 increments, none larger than
-  // the full flush (segment header and CRC fit in 64 bytes). Plus the
-  // archived-log slack the retained tick window can reference (a
-  // constant: compaction truncates segments below the window base).
+  // Per retained base, its LogStore generation file, counted once however
+  // many records share it -- one full flush plus at most
+  // full_flush_period - 1 increments, none larger than the full flush
+  // (segment header and CRC fit in 64 bytes). Plus the archived-log slack
+  // the retained tick window can reference (a constant: compaction
+  // truncates segments below the window base).
   const uint64_t file_bytes =
-      GetParam() == AlgorithmKind::kPartialRedo
-          ? config.shard.full_flush_period *
-                (64 + layout.num_objects() *
-                          (sizeof(uint64_t) + layout.object_size))
-          : 48 + StateTable(layout).buffer_bytes();
+      config.shard.full_flush_period *
+      (64 + layout.num_objects() * (sizeof(uint64_t) + layout.object_size));
   const uint64_t budget =
       config.shard.retention.max_generations * file_bytes + 16 * 1024;
 
@@ -1185,10 +1242,10 @@ TEST_P(FleetPitOrganizationTest, DiskStaysBoundedAcrossCompactionCycles) {
   EXPECT_GT(max_observed_bytes, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothOrganizations, FleetPitOrganizationTest,
-                         ::testing::ValuesIn(kBothOrganizations),
+INSTANTIATE_TEST_SUITE_P(LogAlgorithms, FleetPitOrganizationTest,
+                         ::testing::ValuesIn(kLogAlgorithms),
                          [](const auto& info) {
-                           return OrganizationName(info.param);
+                           return AlgorithmParamName(info.param);
                          });
 
 TEST_F(FleetPitTest, RestoredBattleDigestsEqualTheGoldenReplay) {
@@ -1232,6 +1289,152 @@ TEST_F(FleetPitTest, RestoredBattleDigestsEqualTheGoldenReplay) {
     }
   }
 }
+
+// ---- 5. Retention refuses the double-backup organization ----
+
+/// Every regular file under `dir`, by path relative to it, with its bytes.
+std::map<std::string, std::string> FilesUnder(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::string bytes;
+    EXPECT_TRUE(ReadFileToString(entry.path().string(), &bytes).ok());
+    files[std::filesystem::relative(entry.path(), dir).string()] = bytes;
+  }
+  return files;
+}
+
+/// The double-backup algorithms: their images are overwritten in place, so
+/// history has nothing to reference and retention is InvalidArgument.
+/// (Dribble-and-Copy-on-Update writes the log, like Partial-Redo.)
+const AlgorithmKind kDoubleBackupAlgorithms[] = {
+    AlgorithmKind::kNaiveSnapshot, AlgorithmKind::kAtomicCopyDirty,
+    AlgorithmKind::kCopyOnUpdate};
+
+class RetentionRefusalTest : public ::testing::TestWithParam<AlgorithmKind> {
+ protected:
+  void SetUp() override {
+    std::string name(
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    for (auto& c : name) {
+      if (c == '/') c = '_';
+    }
+    dir_ = (std::filesystem::temp_directory_path() / ("tp_refuse_" + name))
+               .string();
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  ShardedEngineConfig FleetConfig(bool retention) const {
+    ShardedEngineConfig config;
+    config.shard.layout = ShardLayout();
+    config.shard.algorithm = GetParam();
+    config.shard.fsync = false;
+    config.shard.retention.enabled = retention;
+    config.num_shards = 2;
+    config.checkpoint_period_ticks = 4;
+    return config;
+  }
+
+  EngineConfig ShardConfig(bool retention) const {
+    EngineConfig config;
+    config.layout = ShardLayout();
+    config.algorithm = GetParam();
+    config.dir = dir_;
+    config.fsync = false;
+    config.retention.enabled = retention;
+    return config;
+  }
+
+  std::string dir_;
+};
+
+TEST_P(RetentionRefusalTest, FleetCreateRefusesBeforeTouchingTheRoot) {
+  auto fleet_or = Fleet::Create(dir_, FleetConfig(/*retention=*/true));
+  EXPECT_EQ(fleet_or.status().code(), StatusCode::kInvalidArgument)
+      << fleet_or.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+}
+
+TEST_P(RetentionRefusalTest, ExistingFleetRootKeepsItsManifests) {
+  // A fleet without retention, with a committed cut, shut down cleanly.
+  {
+    auto fleet_or = Fleet::Create(dir_, FleetConfig(/*retention=*/false));
+    ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+    Fleet& fleet = *fleet_or.value();
+    auto cut_or = fleet.RequestConsistentCut();
+    ASSERT_TRUE(cut_or.ok()) << cut_or.status().ToString();
+    const uint64_t num_cells = ShardLayout().num_cells();
+    while (fleet.engine().current_tick() <= cut_or.value()) {
+      const uint64_t tick = fleet.engine().current_tick();
+      fleet.BeginTick();
+      for (uint32_t p = 0; p < fleet.num_partitions(); ++p) {
+        for (uint64_t i = 0; i < kUpdatesPerTick; ++i) {
+          const uint32_t cell = WorkloadCell(p, tick, i, num_cells);
+          fleet.ApplyUpdate(p, cell, WorkloadValue(tick, cell, i));
+        }
+      }
+      ASSERT_TRUE(fleet.EndTick().ok());
+    }
+    ASSERT_TRUE(fleet.CommitConsistentCut().ok());
+    ASSERT_TRUE(fleet.Shutdown().ok());
+  }
+  ASSERT_TRUE(FileExists(paths::FleetManifestPath(dir_, 0)));
+  ASSERT_TRUE(FileExists(paths::CutManifestPath(dir_)));
+  const auto before = FilesUnder(dir_);
+
+  // Create never clobbers an existing root.
+  EXPECT_FALSE(Fleet::Create(dir_, FleetConfig(/*retention=*/true)).ok());
+  EXPECT_EQ(FilesUnder(dir_), before);
+
+  // A manifest that records retention on this algorithm (as a writer that
+  // still kept image generations left it) recovers, but the open that
+  // would resume it is refused before any shard or manifest changes.
+  auto manifest_or = ReadNewestFleetManifest(dir_);
+  ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().ToString();
+  FleetManifest manifest = std::move(manifest_or).value();
+  manifest.config.shard.retention.enabled = true;
+  ASSERT_TRUE(WriteFleetManifest(dir_, manifest, /*fsync=*/false).ok());
+  const auto with_retention = FilesUnder(dir_);
+  ASSERT_TRUE(Fleet::Recover(dir_).ok());
+  EXPECT_EQ(Fleet::Open(dir_).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(FilesUnder(dir_), with_retention);
+}
+
+TEST_P(RetentionRefusalTest, EngineOpenLeavesAPopulatedDirectoryInPlace) {
+  {
+    auto engine_or = Engine::Open(ShardConfig(/*retention=*/false));
+    ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+    Engine& engine = *engine_or.value();
+    for (uint64_t tick = 0; tick < 6; ++tick) {
+      engine.BeginTick();
+      for (uint64_t i = 0; i < kUpdatesPerTick; ++i) {
+        const uint32_t cell =
+            WorkloadCell(0, tick, i, ShardLayout().num_cells());
+        engine.ApplyUpdate(cell, WorkloadValue(tick, cell, i));
+      }
+      ASSERT_TRUE(engine.EndTick().ok());
+    }
+    ASSERT_TRUE(engine.Shutdown().ok());
+  }
+  const auto before = FilesUnder(dir_);
+  ASSERT_FALSE(before.empty());
+
+  const EngineConfig config = ShardConfig(/*retention=*/true);
+  EXPECT_EQ(Engine::Open(config).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FilesUnder(dir_), before);
+  const StateTable initial(ShardLayout());
+  EXPECT_EQ(Engine::OpenResumed(config, initial, 6).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FilesUnder(dir_), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(DoubleBackup, RetentionRefusalTest,
+                         ::testing::ValuesIn(kDoubleBackupAlgorithms),
+                         [](const auto& info) {
+                           return AlgorithmParamName(info.param);
+                         });
 
 }  // namespace
 }  // namespace tickpoint

@@ -7,6 +7,7 @@
 #include "core/sim_executor.h"
 #include "engine/mutator.h"
 #include "engine/recovery.h"
+#include "engine_test_util.h"
 #include "sim/simulator.h"
 #include "trace/zipf_source.h"
 
@@ -91,20 +92,24 @@ TEST(IntervalEngineTest, EngineHonorsIntervalAndStillRecovers) {
   config.fsync = false;
   config.checkpoint_interval_ticks = 10;
 
+  // At least 40 ticks, then on until two checkpoints completed: the
+  // writer thread may finish fewer in 40 ticks on a busy machine. The
+  // trace length bounds the run.
   ZipfTraceConfig trace;
   trace.layout = layout;
-  trace.num_ticks = 40;
+  trace.num_ticks = 2000;
   trace.updates_per_tick = 100;
   trace.theta = 0.7;
 
   auto engine_or = Engine::Open(config);
   ASSERT_TRUE(engine_or.ok());
   ZipfUpdateSource source(trace);
-  MutatorOptions options;
-  options.crash_after_tick = 39;
-  ASSERT_TRUE(RunWorkload(engine_or.value().get(), &source, options).ok());
+  Engine& engine = *engine_or.value();
+  const auto& checkpoints = engine.metrics().checkpoints;
+  const auto two_done = [&] { return checkpoints.size() >= 2; };
+  ASSERT_TRUE(RunWorkloadUntil(&engine, &source, 40, two_done).ok());
+  ASSERT_TRUE(engine.SimulateCrash().ok());
 
-  const auto& checkpoints = engine_or.value()->metrics().checkpoints;
   ASSERT_GE(checkpoints.size(), 2u);
   for (size_t i = 1; i < checkpoints.size(); ++i) {
     EXPECT_GE(checkpoints[i].start_tick, checkpoints[i - 1].start_tick + 10);

@@ -10,8 +10,8 @@
 // operator needs to answer "what would this shard recover to right now?".
 //
 // --history prints the point-in-time retention state instead: the
-// generation table with each generation's kind (image copy, log
-// generation, or zero birth state) and on-disk bytes, the archived
+// generation table with each generation's kind (log generation or zero
+// birth state) and on-disk bytes, the archived
 // logical-log segments, the retained (restorable) tick window, and what
 // the next compaction pass would drop or rewrite. The plan uses the
 // retention policy of the fleet manifest in the shard directory's parent
@@ -43,18 +43,12 @@ bool Contains(const std::vector<uint64_t>& ids, uint64_t id) {
   return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
-/// "image" (a copy under history/), "log G" (LogStore generation G read
-/// through the consistent tick), or "zero" (the birth state, no file).
+/// "log G" (LogStore generation G read through the consistent tick) or
+/// "zero" (the birth state, no file).
 std::string GenerationKind(const HistoryIndex::Generation& gen) {
-  switch (gen.kind) {
-    case HistoryIndex::Generation::Kind::kImage:
-      return "image";
-    case HistoryIndex::Generation::Kind::kLog:
-      return "log " + std::to_string(gen.log_gen);
-    case HistoryIndex::Generation::Kind::kZero:
-      return "zero";
-  }
-  return "?";
+  return gen.kind == HistoryIndex::Generation::Kind::kZero
+             ? "zero"
+             : "log " + std::to_string(gen.log_gen);
 }
 
 /// The retention policy the engine applies to the shard in `dir`: the one
