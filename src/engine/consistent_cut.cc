@@ -1,7 +1,6 @@
 #include "engine/consistent_cut.h"
 
-#include <cstring>
-#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "engine/paths.h"
@@ -29,39 +28,16 @@ std::string CutManifestPath(const std::string& root) {
 
 Status WriteCutManifest(const std::string& root, const CutManifest& manifest,
                         bool fsync) {
-  const std::string path = CutManifestPath(root);
-  const std::string tmp = path + ".tmp";
-  {
-    FileWriter writer;
-    TP_RETURN_NOT_OK(writer.Open(tmp));
-    ManifestHeader header;
-    header.magic = kManifestMagic;
-    header.num_shards = static_cast<uint32_t>(manifest.shards.size());
-    header.cut_tick = manifest.cut_tick;
-    TP_RETURN_NOT_OK(writer.Append(&header, sizeof(header)));
-    uint32_t crc = Crc32(&header, sizeof(header));
-    for (const CutShardRecord& shard : manifest.shards) {
-      TP_RETURN_NOT_OK(writer.Append(&shard, sizeof(shard)));
-      crc = Crc32(&shard, sizeof(shard), crc);
-    }
-    TP_RETURN_NOT_OK(writer.Append(&crc, sizeof(crc)));
-    TP_RETURN_NOT_OK(fsync ? writer.Sync() : writer.Flush());
-    TP_RETURN_NOT_OK(writer.Close());
-  }
-  // The rename is the commit point: a crash before it leaves the previous
-  // manifest (or none) in place, never a torn one. The directory fsync
-  // afterwards is what makes the commit itself durable -- without it an OS
-  // crash can lose the rename even though the data file was synced.
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("commit cut manifest " + path + ": " +
-                           ec.message());
-  }
-  if (fsync) {
-    TP_RETURN_NOT_OK(SyncDirectory(root));
-  }
-  return Status::OK();
+  ManifestHeader header;
+  header.magic = kManifestMagic;
+  header.num_shards = static_cast<uint32_t>(manifest.shards.size());
+  header.cut_tick = manifest.cut_tick;
+  std::string bytes(reinterpret_cast<const char*>(&header), sizeof(header));
+  bytes.append(reinterpret_cast<const char*>(manifest.shards.data()),
+               manifest.shards.size() * sizeof(CutShardRecord));
+  const uint32_t crc = Crc32(bytes.data(), bytes.size());
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return PublishFile(CutManifestPath(root), bytes, fsync, "cut manifest");
 }
 
 StatusOr<CutManifest> ReadCutManifest(const std::string& root) {

@@ -12,13 +12,15 @@
 //   and starts a checkpoint at exactly T -- overriding the stagger
 //   schedule for that one generation -- whose consistent tick is exactly
 //   T + 1. The mutator blocks only for the snapshot; the image is written
-//   on the shard's writer thread. The shard's ack is the completed cut
-//   checkpoint record, published when a later tick boundary reaps it (or
-//   reaped by the coordinator itself when the shard has gone idle).
+//   on the shard's writer thread. The shard's engine acks the cut itself:
+//   the cut EndTick stamps {T, checkpoint seq, stall} into its ack slot,
+//   and the image is durable once the engine's writer has finished that
+//   seq.
 //
-//   Phase 2 (commit): only after ALL shards acked does the coordinator
-//   write the fleet-level cut manifest (shard count, per-shard checkpoint
-//   seq, CRC) with an atomic tmp+rename publish. A crash anywhere before
+//   Phase 2 (commit): only after ALL shards acked and every cut image is
+//   durable does the coordinator write the fleet-level cut manifest (shard
+//   count, per-shard checkpoint seq, CRC) with an atomic tmp+rename
+//   publish (PublishFile, util/io.h). A crash anywhere before
 //   the rename -- including between the last shard ack and the commit --
 //   leaves no committed manifest, and cut recovery falls back to latest
 //   recovery as if no cut had been attempted.
@@ -56,9 +58,9 @@ struct CutManifest {
 /// Path of the cut manifest under the fleet root directory.
 std::string CutManifestPath(const std::string& root);
 
-/// Atomically publishes `manifest` as the committed cut: writes a temp
-/// file (fsynced when `fsync` is set), then renames it over the manifest
-/// path. At most one committed manifest exists; a newer cut replaces it.
+/// Atomically publishes `manifest` as the committed cut (PublishFile: temp
+/// file, rename over the manifest path, directory fsync when `fsync` is
+/// set). At most one committed manifest exists; a newer cut replaces it.
 Status WriteCutManifest(const std::string& root, const CutManifest& manifest,
                         bool fsync);
 

@@ -6,6 +6,7 @@
 
 #include "engine/paths.h"
 #include "util/crc32.h"
+#include "util/sched_fuzz.h"
 
 namespace tickpoint {
 namespace {
@@ -322,11 +323,17 @@ Status Engine::EndTick() {
       // StartCheckpoint took the tick-T snapshot (the COW rule -- eager
       // copy or cleared copy-bits), so the image's content is already
       // decided; the write itself completes on the writer thread and is
-      // reaped at a later tick boundary (or by CompletePendingCheckpoint).
-      // The mutator-visible stall is the drain + snapshot only -- never
-      // the disk.
+      // finalized at a later tick boundary. The mutator-visible stall is
+      // the drain + snapshot only -- never the disk.
       cut_stall_seconds_ = SecondsSince(stall_start);
       pause = cut_stall_seconds_;
+      // Publish the ack: invalidate the stamp, write the payload, re-stamp.
+      cut_ack_tick_.store(kNoCut, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_release);
+      cut_ack_seq_.store(active_job_->seq, std::memory_order_relaxed);
+      cut_ack_stall_.store(cut_stall_seconds_, std::memory_order_relaxed);
+      TP_SCHED_FUZZ_POINT();
+      cut_ack_tick_.store(tick_, std::memory_order_release);
     }
     const bool interval_elapsed =
         checkpoint_seq_ == 0 ||
@@ -474,17 +481,19 @@ void Engine::WriterMain() {
     const auto t0 = Clock::now();
     const Status status = ExecuteJob(job);
     job_async_seconds_ = SecondsSince(t0);
-    if (writer_status_.ok() && !status.ok() &&
-        !crashed_.load(std::memory_order_acquire)) {
-      writer_status_ = status;
-    }
     {
       // Publish under mu_ so a mutator blocked in WaitForJobDone re-checks
       // its predicate under the same lock and can never miss this notify.
       std::lock_guard<std::mutex> lock(mu_);
+      if (writer_status_.ok() && !status.ok() &&
+          !crashed_.load(std::memory_order_acquire)) {
+        writer_status_ = status;
+      }
       job_done_.store(true, std::memory_order_release);
     }
     cv_.notify_all();
+    checkpoints_finished_.store(job.seq + 1, std::memory_order_release);
+    checkpoints_finished_.notify_all();
   }
 }
 
@@ -492,6 +501,30 @@ void Engine::WaitForJobDone() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock,
            [this] { return job_done_.load(std::memory_order_acquire); });
+}
+
+std::optional<Engine::CutAck> Engine::CutAckAt(uint64_t cut_tick) const {
+  if (cut_ack_tick_.load(std::memory_order_acquire) != cut_tick) {
+    return std::nullopt;
+  }
+  const CutAck ack{cut_ack_seq_.load(std::memory_order_relaxed),
+                   cut_ack_stall_.load(std::memory_order_relaxed)};
+  // Re-check the stamp after the payload: a rewrite that began in between
+  // invalidated it first, so an unchanged stamp means an untorn ack.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (cut_ack_tick_.load(std::memory_order_relaxed) != cut_tick) {
+    return std::nullopt;
+  }
+  return ack;
+}
+
+Status Engine::WaitForCheckpoint(uint64_t seq) const {
+  for (uint64_t finished = checkpoints_finished(); finished <= seq;
+       finished = checkpoints_finished()) {
+    checkpoints_finished_.wait(finished, std::memory_order_acquire);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return writer_status_;
 }
 
 const uint8_t* Engine::CouSource(ObjectId object, uint8_t* staging) {
@@ -592,10 +625,8 @@ Status Engine::WriteCheckpointObjects(const Job& job, IoBackend* backend,
 }
 
 Status Engine::CompletePendingCheckpoint() {
-  // The reap half of the cut: wait for the writer to finish the
-  // in-flight job and fold its record into metrics. Callable only between
-  // ticks, from the thread that drives EndTick (same ownership rules as
-  // StartCheckpoint); a no-op when nothing is in flight.
+  // Wait for the writer to finish the in-flight job and fold its record
+  // into metrics; a no-op when nothing is in flight.
   TP_CHECK(!in_tick_);
   if (crashed_.load(std::memory_order_acquire)) return writer_status_;
   if (!active_job_) return writer_status_;
@@ -609,9 +640,8 @@ Status Engine::Shutdown() {
   if (shut_down_) return Status::OK();
   shut_down_ = true;
   // Drain the in-flight checkpoint (unless crashed).
-  while (active_job_ && !crashed_.load(std::memory_order_acquire) &&
-         !job_done_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (active_job_ && !crashed_.load(std::memory_order_acquire)) {
+    WaitForJobDone();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -13,9 +13,11 @@
 //   - BeginTick/ApplyUpdate/EndTick/Shutdown/SimulateCrash must all be
 //     called from ONE mutator thread (any thread, but the same one); they
 //     synchronize with the writer thread internally.
-//   - ScheduleCheckpoint is the one cross-thread entry point: any thread
-//     may request a checkpoint (the flag is atomic); the mutator serves it
-//     at its next EndTick.
+//   - ScheduleCheckpoint and RequestCutCheckpoint are the cross-thread
+//     entry points: any thread may request a checkpoint (the flags are
+//     atomic); the mutator serves it at its next EndTick.
+//   - CumulativeDirtyMarks, CutAckAt, checkpoints_finished and
+//     WaitForCheckpoint are safe from any thread while the mutator ticks.
 //   - metrics()/state()/current_tick() are unsynchronized snapshots owned
 //     by the mutator thread; other threads may read them only once the
 //     mutator is quiesced (between ticks with the owner parked, or after
@@ -98,7 +100,7 @@ struct EngineCheckpointRecord {
   bool full_flush = false;
   /// Consistent-cut checkpoint: started at exactly the coordinator's cut
   /// tick. The snapshot is taken at the cut tick and the write completes
-  /// on the writer, reaped at a later tick boundary.
+  /// on the writer; the record is finalized at a later tick boundary.
   bool cut = false;
   uint64_t objects_written = 0;
   uint64_t bytes_written = 0;
@@ -185,21 +187,44 @@ class Engine {
   /// whose consistent tick is exactly that tick's end. Unlike
   /// ScheduleCheckpoint, the request cannot slip to a later tick: EndTick
   /// first drains any in-flight flush, then starts the cut checkpoint at
-  /// that exact tick. EndTick returns once the snapshot is taken; the
-  /// write completes on the writer thread and is reaped by a later
-  /// EndTick or CompletePendingCheckpoint. The mutator block is the cut's
-  /// stall, reported in the record.
+  /// that exact tick. EndTick returns once the snapshot is taken and the
+  /// cut's ack is published (CutAckAt); the write completes on the writer
+  /// thread and its record is finalized by a later EndTick. The mutator
+  /// block is the cut's stall, reported in the ack and the record.
   /// Safe to call from any thread; served by the next EndTick.
   void RequestCutCheckpoint() {
     cut_checkpoint_requested_.store(true, std::memory_order_release);
   }
 
+  /// A cut checkpoint's acknowledgement: which checkpoint carries the cut
+  /// and how long the cut EndTick blocked the mutator (drain + snapshot).
+  /// The image is durable once WaitForCheckpoint(seq) returns OK.
+  struct CutAck {
+    uint64_t seq = 0;
+    double stall_seconds = 0.0;
+  };
+  /// The ack of the cut checkpoint started at the end of `cut_tick`, or
+  /// nullopt until that EndTick published it (or after a later cut
+  /// replaced it). Safe from any thread: a slot being rewritten reads as
+  /// nullopt, never torn.
+  std::optional<CutAck> CutAckAt(uint64_t cut_tick) const;
+
+  /// One past the seq of the newest checkpoint the writer thread finished
+  /// (0 before the first): checkpoint `seq` has finished once this exceeds
+  /// it. Monotonic; safe from any thread.
+  uint64_t checkpoints_finished() const {
+    return checkpoints_finished_.load(std::memory_order_acquire);
+  }
+  /// Parks until checkpoint `seq` has finished on the writer thread, then
+  /// returns the writer's sticky status: OK means the image is durable.
+  /// `seq` must belong to a checkpoint this engine started. Safe from any
+  /// thread.
+  Status WaitForCheckpoint(uint64_t seq) const;
+
   /// Blocks until the in-flight checkpoint (if any) completes and its
-  /// record is finalized; returns the writer's sticky status. The reap
-  /// half of the cut path: the cut coordinator calls this on a
-  /// quiesced engine (mutator parked between ticks) when the shard went
-  /// idle before a later tick could finalize the record. Must be called
-  /// with the engine quiesced, like any cross-thread engine access.
+  /// record is finalized; returns the writer's sticky status. Must be
+  /// called between ticks from the mutator thread, or with the engine
+  /// quiesced.
   Status CompletePendingCheckpoint();
 
   /// Graceful stop: waits for the in-flight checkpoint, stops the writer,
@@ -286,7 +311,7 @@ class Engine {
   StatusOr<double> StartCheckpoint(bool cut = false);
   void FinalizeJob();
   /// Blocks the mutator until the writer reports the in-flight job done
-  /// (the drain before a cut, and CompletePendingCheckpoint).
+  /// (the drain before a cut, CompletePendingCheckpoint and Shutdown).
   void WaitForJobDone();
 
   void WriterMain();
@@ -349,17 +374,27 @@ class Engine {
   // Kept out of Job: the writer copies *active_job_ under mu_ while the
   // mutator measures the stall without it.
   double cut_stall_seconds_ = 0.0;
+  // The newest cut's ack, written seqlock-style by the mutator: the tick
+  // stamp is invalidated before the payload changes and re-stamped after.
+  static constexpr uint64_t kNoCut = UINT64_MAX;
+  std::atomic<uint64_t> cut_ack_tick_{kNoCut};
+  std::atomic<uint64_t> cut_ack_seq_{0};
+  std::atomic<double> cut_ack_stall_{0.0};
 
   // Writer thread plumbing.
   std::thread writer_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   bool job_pending_ = false;
   bool writer_exit_ = false;
   std::atomic<bool> job_done_{false};
+  // See checkpoints_finished(): stored (and notified) after job_done_.
+  std::atomic<uint64_t> checkpoints_finished_{0};
   std::atomic<bool> crashed_{false};
   double job_async_seconds_ = 0.0;  // written by writer before job_done_
-  Status writer_status_;            // sticky first error
+  // Sticky first error: written by the writer under mu_, read by the
+  // mutator once job_done_ is seen and by other threads under mu_.
+  Status writer_status_;
 
   EngineMetrics metrics_;
   bool shut_down_ = false;

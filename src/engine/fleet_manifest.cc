@@ -216,29 +216,12 @@ Status WriteFleetManifest(const std::string& root,
   const uint32_t crc = Crc32(bytes.data(), bytes.size());
   put(&crc, sizeof(crc));
 
-  const std::string path = paths::FleetManifestPath(root, manifest.epoch);
-  const std::string tmp = path + ".tmp";
-  {
-    FileWriter writer;
-    TP_RETURN_NOT_OK(writer.Open(tmp));
-    TP_RETURN_NOT_OK(writer.Append(bytes.data(), bytes.size()));
-    TP_RETURN_NOT_OK(fsync ? writer.Sync() : writer.Flush());
-    TP_RETURN_NOT_OK(writer.Close());
-  }
-  // The rename is the epoch's commit point; the directory fsync makes the
-  // commit itself durable. The PREVIOUS epoch's file is untouched here --
-  // retirement is a separate, later step, so a crash in between leaves
-  // both epochs readable and recovery picks the newest.
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("commit fleet manifest " + path + ": " +
-                           ec.message());
-  }
-  if (fsync) {
-    TP_RETURN_NOT_OK(SyncDirectory(root));
-  }
-  return Status::OK();
+  // The rename inside PublishFile is the epoch's commit point. The
+  // PREVIOUS epoch's file is untouched here -- retirement is a separate,
+  // later step, so a crash in between leaves both epochs readable and
+  // recovery picks the newest.
+  return PublishFile(paths::FleetManifestPath(root, manifest.epoch), bytes,
+                     fsync, "fleet manifest");
 }
 
 StatusOr<FleetManifest> ReadFleetManifestFile(const std::string& path) {

@@ -212,7 +212,6 @@ void ShardRunner::ProcessBatch(const ShardTickBatch& batch) {
   }
   if (batch.cut_checkpoint) {
     engine_->RequestCutCheckpoint();
-    pending_cut_tick_ = batch.tick;
   } else if (batch.start_checkpoint) {
     engine_->ScheduleCheckpoint();
   }
@@ -225,32 +224,8 @@ void ShardRunner::ProcessBatch(const ShardTickBatch& batch) {
     return;
   }
   PublishMarks();
-  const auto& records = engine_->metrics().checkpoints;
-  if (pending_cut_tick_ != ShardRunner::kNoCutTick) {
-    // The cut's write completes on the engine's writer thread and its
-    // record is only reaped at a LATER tick's EndTick -- so keep scanning
-    // after every successful tick until it shows up. Publish the ack slot
-    // (payload first, then the release flag) only while the
-    // coordinator's armed tick still matches this pending cut: a cut the
-    // coordinator force-reaped itself (it completed the checkpoint while
-    // this runner sat idle) is dropped silently, so its record can never
-    // be re-published into a later cut's slot.
-    for (size_t i = records.size(); i-- > 0;) {
-      if (records[i].cut && records[i].start_tick == pending_cut_tick_) {
-        if (armed_cut_tick_.load(std::memory_order_acquire) ==
-            pending_cut_tick_) {
-          cut_ack_.checkpoint_seq = records[i].seq;
-          cut_ack_.consistent_ticks = records[i].consistent_ticks;
-          cut_ack_.stall_seconds = records[i].cut_stall_seconds;
-          TP_SCHED_FUZZ_POINT();
-          cut_acked_.store(true, std::memory_order_release);
-        }
-        pending_cut_tick_ = ShardRunner::kNoCutTick;
-        break;
-      }
-    }
-  }
   if (!observer_) return;
+  const auto& records = engine_->metrics().checkpoints;
   // EndTick finalizes drained checkpoints; report the new records (they
   // finished during this tick's end).
   while (checkpoints_reported_ < records.size()) {

@@ -23,12 +23,12 @@
 //   - Stop drains the mailbox before honoring the stop (a barrier, not an
 //     abort) and is idempotent.
 // All cross-thread state is a handful of atomics: the ring indices, the
-// completion counter, the submit signal, the sticky-error flag, and the
-// cut-ack slot. Waits (empty mailbox on the consumer; full mailbox and
-// Drain on the producer) spin briefly, then park on a std::atomic
-// wait/notify word -- the fast path stays lock-free while an idle or
-// oversubscribed fleet stays off the CPU (on few cores, a polling
-// consumer would otherwise starve the producer it is waiting on).
+// completion counter, the submit signal, and the sticky-error flag. Waits
+// (empty mailbox on the consumer; full mailbox and Drain on the producer)
+// spin briefly, then park on a std::atomic wait/notify word -- the fast
+// path stays lock-free while an idle or oversubscribed fleet stays off
+// the CPU (on few cores, a polling consumer would otherwise starve the
+// producer it is waiting on).
 //
 // Failure semantics: the first Engine error is sticky. After it, the
 // runner discards later batches (counting them as consumed so Drain/Stop
@@ -76,8 +76,8 @@ struct ShardTickBatch {
   bool start_checkpoint = false;
   /// Consistent-cut coordinator's decision: this tick is the fleet cut
   /// tick -- the shard must end it by starting a checkpoint at exactly
-  /// this tick (Engine::RequestCutCheckpoint semantics). Implies
-  /// start_checkpoint.
+  /// this tick (Engine::RequestCutCheckpoint semantics; the engine itself
+  /// publishes the cut's ack). Implies start_checkpoint.
   bool cut_checkpoint = false;
 };
 
@@ -90,17 +90,6 @@ class ShardRunner {
   using CheckpointObserver = std::function<void(
       uint32_t shard, const EngineCheckpointRecord& record,
       uint64_t completion_tick)>;
-
-  /// One shard's durable consistent-cut acknowledgement: published by the
-  /// runner the moment its cut checkpoint record lands (at a later tick's
-  /// reap) -- folded wait-free by the cut coordinator (no runner barrier,
-  /// no shared mutex).
-  struct CutAck {
-    uint64_t checkpoint_seq = 0;
-    uint64_t consistent_ticks = 0;
-    /// Mutator block inside the cut tick's EndTick.
-    double stall_seconds = 0.0;
-  };
 
   /// Takes ownership of `engine` and spawns the mutator thread.
   /// `max_queue_ticks` bounds the mailbox: SubmitTick blocks while the
@@ -143,42 +132,6 @@ class ShardRunner {
   uint64_t ticks_completed() const {
     return ticks_completed_.load(std::memory_order_acquire);
   }
-  /// Ticks handed to SubmitTick so far. Producer-thread state: callable
-  /// only from the submitting thread, like SubmitTick itself. Paired with
-  /// ticks_completed() it is the coordinator's idleness test (completed >=
-  /// submitted means the runner is parked on an empty mailbox).
-  uint64_t ticks_submitted() const { return ticks_submitted_; }
-
-  /// Sentinel for "no cut armed / pending".
-  static constexpr uint64_t kNoCutTick = UINT64_MAX;
-
-  /// Arms the cut-ack slot for the cut at `cut_tick` and resets it. Called
-  /// by the coordinator's thread strictly before the cut tick's batch is
-  /// submitted (the ring's release/acquire pair orders the arm before any
-  /// runner can observe the cut batch). The runner publishes an ack only
-  /// while its pending cut matches the armed tick, so the record of a cut
-  /// the coordinator already force-reaped can never masquerade as a later
-  /// cut's ack.
-  void ArmCutAck(uint64_t cut_tick) {
-    armed_cut_tick_.store(cut_tick, std::memory_order_relaxed);
-    cut_acked_.store(false, std::memory_order_release);
-  }
-  /// Disarms the slot once the coordinator folded (or synthesized) this
-  /// shard's ack. Same calling contract as ArmCutAck: the store is ordered
-  /// before any later batch by the ring's release/acquire pair, so a
-  /// runner still holding a stale pending cut drops it silently instead of
-  /// re-publishing.
-  void DisarmCutAck() {
-    armed_cut_tick_.store(kNoCutTick, std::memory_order_release);
-  }
-  /// Has this shard's cut checkpoint landed? (acquire: a true result
-  /// makes the cut_ack() fields visible)
-  bool cut_acked() const {
-    return cut_acked_.load(std::memory_order_acquire);
-  }
-  /// Valid once cut_acked() returned true.
-  const CutAck& cut_ack() const { return cut_ack_; }
-
   /// The newest tick boundary (engine tick after EndTick) this runner has
   /// published a dirty-mark sample for: it has applied every tick before
   /// it. Safe from any thread.
@@ -195,7 +148,8 @@ class ShardRunner {
   std::optional<uint64_t> MarksAt(uint64_t boundary) const;
 
   /// The owned engine. Per the Engine thread-safety contract, callers may
-  /// touch it only while the runner is quiesced (after Drain/Stop).
+  /// touch it only while the runner is quiesced (after Drain/Stop), except
+  /// through the engine's any-thread reads.
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
 
@@ -224,8 +178,7 @@ class ShardRunner {
  private:
   void ThreadMain();
   /// BeginTick + updates + checkpoint request + EndTick on the engine;
-  /// records the sticky error, publishes the cut ack, and reports
-  /// finished checkpoints.
+  /// records the sticky error and reports finished checkpoints.
   void ProcessBatch(const ShardTickBatch& batch);
   /// Stamps the engine's cumulative dirty-mark count with its current tick
   /// boundary (mutator thread, or the constructing thread before it
@@ -271,18 +224,6 @@ class ShardRunner {
   std::atomic<uint64_t> ticks_completed_{0};
   std::atomic<bool> has_error_{false};
   Status first_error_;  // written once before the has_error_ release
-
-  CutAck cut_ack_;  // written before the cut_acked_ release
-  std::atomic<bool> cut_acked_{false};
-  /// The cut tick the coordinator armed (kNoCutTick when none). Written by
-  /// the coordinator's thread, acquire-read by the runner before it
-  /// publishes an ack.
-  std::atomic<uint64_t> armed_cut_tick_{kNoCutTick};
-  /// The cut this runner still owes an ack for (kNoCutTick when none).
-  /// Mutator thread only: set when the cut batch is processed, cleared
-  /// when its record is found (the engine finalizes the record at a later
-  /// tick's EndTick, so the scan repeats each tick until then).
-  uint64_t pending_cut_tick_ = kNoCutTick;
 
   /// One tick-stamped dirty-mark sample, written seqlock-style: the stamp
   /// is invalidated before the count changes and re-stamped after.

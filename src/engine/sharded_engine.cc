@@ -310,10 +310,6 @@ StatusOr<uint64_t> ShardedEngine::RequestConsistentCut() {
   }
   TP_ASSIGN_OR_RETURN(const uint64_t cut_tick,
                       cut_.Arm(tick_, config().cut_lead_ticks));
-  // Arm every shard's ack slot before the cut tick's batches can be
-  // submitted: the mailbox's release/acquire pair orders the arm before
-  // any runner can publish the new cut's ack.
-  for (auto& runner : runners_) runner->ArmCutAck(cut_tick);
   cut_armed_at_ = std::chrono::steady_clock::now();
   return cut_tick;
 }
@@ -330,73 +326,33 @@ Status ShardedEngine::CommitConsistentCut() {
         " has not been submitted yet (fleet tick " + std::to_string(tick_) +
         ")");
   }
-  // Fold the per-shard ack slots, wait-free on the runners: each slot is
-  // release-published by its runner the instant the cut checkpoint record
-  // lands, so the commit never quiesces the fleet -- shards keep consuming
-  // post-cut ticks while the coordinator waits only for the slowest cut
-  // write itself. A runner finalizes the cut's record at a later tick's
-  // EndTick; when no later tick is coming (the runner went idle), the
-  // coordinator reaps the pending checkpoint itself below.
+  // Each shard's engine acks its own cut: the cut EndTick stamps the ack
+  // with T, and the cut image is durable once its writer finished that
+  // seq. The runners keep consuming post-cut ticks meanwhile; this thread
+  // waits only for the runner to reach T, then parks on each writer.
   std::vector<CutShardRecord> acks;
   acks.reserve(runners_.size());
   double max_stall = 0.0;
-  for (uint32_t i = 0; i < runners_.size(); ++i) {
-    ShardRunner& runner = *runners_[i];
-    bool folded = false;
-    for (;;) {
-      if (runner.cut_acked()) break;
-      if (runner.has_error()) {
+  for (auto& runner : runners_) {
+    const Engine& engine = runner->engine();
+    std::optional<Engine::CutAck> ack;
+    while (!(ack = engine.CutAckAt(cut_tick))) {
+      if (runner->has_error()) {
         cut_.Disarm();
         return PollShardError();
-      }
-      if (runner.ticks_completed() >= runner.ticks_submitted()) {
-        // Every submitted batch -- the cut tick's included (the tick_ >
-        // cut_tick precondition above proved it was submitted) -- is fully
-        // consumed and the runner is parked on an empty mailbox, yet no
-        // ack: the cut's write may still be in flight on the shard's
-        // writer thread with no later tick coming to reap it. This thread
-        // is the runner's producer, so the idle state is stable and the
-        // ring's release/acquire pair makes the engine safe to touch:
-        // complete the pending checkpoint and synthesize the ack from its
-        // record.
-        if (runner.cut_acked()) break;  // the ack raced in; fold it
-        const Status reap = runner.engine().CompletePendingCheckpoint();
-        if (!reap.ok()) {
-          cut_.Disarm();
-          return reap;
-        }
-        const auto& records = runner.engine().metrics().checkpoints;
-        for (size_t r = records.size(); r-- > 0;) {
-          if (records[r].cut && records[r].start_tick == cut_tick) {
-            acks.push_back(
-                CutShardRecord{records[r].seq, records[r].consistent_ticks});
-            max_stall = std::max(max_stall, records[r].cut_stall_seconds);
-            folded = true;
-            break;
-          }
-        }
-        if (!folded) {
-          // Fully reaped, still no cut record: the engine broke the cut
-          // contract.
-          cut_.Disarm();
-          return Status::Internal("shard " + std::to_string(i) +
-                                  " produced no cut checkpoint at tick " +
-                                  std::to_string(cut_tick));
-        }
-        break;
       }
       TP_SCHED_FUZZ_POINT();
       std::this_thread::yield();
     }
-    if (!folded) {
-      const ShardRunner::CutAck& ack = runner.cut_ack();
-      acks.push_back(CutShardRecord{ack.checkpoint_seq, ack.consistent_ticks});
-      max_stall = std::max(max_stall, ack.stall_seconds);
+    const Status durable = engine.WaitForCheckpoint(ack->seq);
+    if (!durable.ok()) {
+      cut_.Disarm();
+      failed_ = true;
+      if (first_error_.ok()) first_error_ = durable;
+      return durable;
     }
-    // Disarm before any later batch can reach the runner: a stale pending
-    // cut it still holds (the force-reap path) must drop silently, never
-    // publish into a later cut's slot.
-    runner.DisarmCutAck();
+    acks.push_back(CutShardRecord{ack->seq, cut_tick + 1});
+    max_stall = std::max(max_stall, ack->stall_seconds);
   }
   TP_RETURN_NOT_OK(cut_.Commit(acks));
   last_committed_cut_tick_ = cut_tick;

@@ -136,19 +136,21 @@ class ShardedEngine {
 
   /// Phase 1: arms a consistent cut at tick T = current_tick +
   /// cut_lead_ticks and returns T. From now through tick T the stagger
-  /// scheduler stands down; at tick T every shard drains to T and
-  /// checkpoints exactly there (the shard acks by completing that
-  /// checkpoint before consuming another tick). The caller keeps driving
-  /// ticks as usual and, once the fleet tick has passed T, calls
-  /// CommitConsistentCut. Only one cut may be in flight.
+  /// scheduler stands down; at tick T every shard drains to T and starts
+  /// its cut checkpoint exactly there, and its engine publishes the cut's
+  /// ack (Engine::CutAckAt) while the image is written in the background.
+  /// The caller keeps driving ticks as usual and, once the fleet tick has
+  /// passed T, calls CommitConsistentCut. Only one cut may be in flight.
   StatusOr<uint64_t> RequestConsistentCut();
 
-  /// Phase 2: barriers the fleet (WaitForIdle), verifies every shard
-  /// produced its cut checkpoint, and atomically commits the fleet cut
-  /// manifest. A crash before this commit -- even with all shards acked --
-  /// leaves no manifest, and cut recovery falls back to latest.
-  /// FailedPrecondition if no cut is armed or tick T has not run yet. On
-  /// any error the cut is abandoned (no manifest).
+  /// Phase 2: waits for every shard's engine to ack the cut and for each
+  /// cut image to be durable (Engine::WaitForCheckpoint), then atomically
+  /// commits the fleet cut manifest. No runner is drained: shards keep
+  /// consuming later ticks meanwhile. A crash before this commit -- even
+  /// with all shards acked -- leaves no manifest, and cut recovery falls
+  /// back to latest. FailedPrecondition if no cut is armed or tick T has
+  /// not been submitted yet. On any error the cut is abandoned (no
+  /// manifest); a shard or writer error also hard-fails the fleet.
   Status CommitConsistentCut();
 
   /// True between RequestConsistentCut and CommitConsistentCut.

@@ -154,6 +154,29 @@ Status WriteStringToFile(const std::string& path, const std::string& data) {
   return writer.Close();
 }
 
+Status PublishFile(const std::string& path, const std::string& data,
+                   bool fsync, const std::string& what) {
+  const std::string tmp = path + ".tmp";
+  {
+    FileWriter writer;
+    TP_RETURN_NOT_OK(writer.Open(tmp));
+    TP_RETURN_NOT_OK(writer.Append(data.data(), data.size()));
+    TP_RETURN_NOT_OK(fsync ? writer.Sync() : writer.Flush());
+    TP_RETURN_NOT_OK(writer.Close());
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::IOError("commit " + what + " " + path + ": " +
+                           ec.message());
+  }
+  if (fsync) {
+    TP_RETURN_NOT_OK(
+        SyncDirectory(std::filesystem::path(path).parent_path().string()));
+  }
+  return Status::OK();
+}
+
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);

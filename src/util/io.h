@@ -77,6 +77,14 @@ class FileReader {
 Status ReadFileToString(const std::string& path, std::string* out);
 /// Writes `data` to `path`, replacing any existing file.
 Status WriteStringToFile(const std::string& path, const std::string& data);
+/// Atomically replaces `path` with `data`: writes `<path>.tmp` (fsynced
+/// when `fsync` is set, else flushed), renames it over `path`, then, when
+/// `fsync` is set, fsyncs the parent directory. The rename is the commit
+/// point: a crash before it leaves the previous file (or none), never a
+/// torn one; the directory fsync makes the rename itself durable. `what`
+/// names the file in the rename's IOError.
+Status PublishFile(const std::string& path, const std::string& data,
+                   bool fsync, const std::string& what);
 /// True if the path exists and is a regular file.
 bool FileExists(const std::string& path);
 /// Removes a file if it exists (missing file is not an error).

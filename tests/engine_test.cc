@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <optional>
 
 #include "engine/mutator.h"
 #include "engine/recovery.h"
@@ -183,14 +185,22 @@ TEST_F(EngineTest, PartialRedoWritesFullFlushEveryC) {
   auto engine_or = Engine::Open(Config(AlgorithmKind::kPartialRedo));
   ASSERT_TRUE(engine_or.ok());
   Engine& engine = *engine_or.value();
-  // At least 60 ticks, then on until four checkpoints completed: the
-  // writer may finish fewer in 60 ticks on a busy machine. The trace
-  // length bounds the run.
+  // At least 60 ticks, then on until four checkpoints completed, one of
+  // them a partial flush: the writer may finish fewer in 60 ticks on a
+  // busy machine, and while it lags behind back-to-back ticks every
+  // incremental window dirties every object. The trace length bounds the
+  // run.
   ZipfUpdateSource source(TraceConfig(2000, 200));
-  const auto four_done = [&] {
-    return engine.metrics().checkpoints.size() >= 4;
+  const auto four_done_one_partial = [&] {
+    const auto& records = engine.metrics().checkpoints;
+    return records.size() >= 4 &&
+           std::any_of(records.begin(), records.end(), [](const auto& r) {
+             return !r.full_flush &&
+                    r.objects_written < TestLayout().num_objects();
+           });
   };
-  ASSERT_TRUE(RunWorkloadUntil(&engine, &source, 60, four_done).ok());
+  ASSERT_TRUE(
+      RunWorkloadUntil(&engine, &source, 60, four_done_one_partial).ok());
   ASSERT_TRUE(engine.Shutdown().ok());
   ASSERT_GE(engine.metrics().checkpoints.size(), 4u);
   uint64_t prev_start = 0;
@@ -213,6 +223,57 @@ TEST_F(EngineTest, PartialRedoWritesFullFlushEveryC) {
     prev_start = record.start_tick;
   }
   EXPECT_TRUE(some_partial);
+}
+
+TEST_F(EngineTest, CutEndTickStampsItsAckAndTheWriterFinishesIt) {
+  EngineConfig config = Config(AlgorithmKind::kCopyOnUpdate);
+  config.manual_checkpoints = true;
+  auto engine_or = Engine::Open(config);
+  ASSERT_TRUE(engine_or.ok());
+  Engine& engine = *engine_or.value();
+  const auto run_tick = [&engine](bool cut) {
+    const uint64_t tick = engine.current_tick();
+    engine.BeginTick();
+    engine.ApplyUpdate(static_cast<uint32_t>(tick % 10),
+                       static_cast<int32_t>(tick));
+    if (cut) engine.RequestCutCheckpoint();
+    return engine.EndTick();
+  };
+  for (int t = 0; t < 3; ++t) ASSERT_TRUE(run_tick(false).ok());
+  constexpr uint64_t kCutTick = 3;
+  EXPECT_FALSE(engine.CutAckAt(kCutTick).has_value());
+  EXPECT_EQ(engine.checkpoints_finished(), 0u);
+
+  // The cut EndTick publishes the ack before it returns; the image is
+  // durable once the writer's finished count passes the ack's seq.
+  ASSERT_TRUE(run_tick(true).ok());
+  const std::optional<Engine::CutAck> ack = engine.CutAckAt(kCutTick);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_FALSE(engine.CutAckAt(kCutTick - 1).has_value());
+  EXPECT_FALSE(engine.CutAckAt(kCutTick + 1).has_value());
+  ASSERT_TRUE(engine.WaitForCheckpoint(ack->seq).ok());
+  EXPECT_GT(engine.checkpoints_finished(), ack->seq);
+
+  // The next EndTick finalizes the record the ack names.
+  ASSERT_TRUE(run_tick(false).ok());
+  const auto& records = engine.metrics().checkpoints;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].cut);
+  EXPECT_EQ(records[0].start_tick, kCutTick);
+  EXPECT_EQ(records[0].seq, ack->seq);
+  EXPECT_EQ(records[0].consistent_ticks, kCutTick + 1);
+  EXPECT_EQ(records[0].cut_stall_seconds, ack->stall_seconds);
+  EXPECT_GT(engine.checkpoints_finished(), records[0].seq);
+
+  // A later cut restamps the slot with its own tick and seq.
+  ASSERT_TRUE(run_tick(true).ok());
+  const std::optional<Engine::CutAck> second = engine.CutAckAt(kCutTick + 2);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->seq, ack->seq + 1);
+  EXPECT_FALSE(engine.CutAckAt(kCutTick).has_value());
+  ASSERT_TRUE(engine.WaitForCheckpoint(second->seq).ok());
+  EXPECT_GT(engine.checkpoints_finished(), second->seq);
+  ASSERT_TRUE(engine.Shutdown().ok());
 }
 
 TEST_F(EngineTest, PacedRunHoldsTickRate) {

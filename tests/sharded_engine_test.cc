@@ -959,6 +959,75 @@ TEST_F(ShardedEngineTest, ConsistentCutProtocolGuards) {
   ASSERT_TRUE(engine.Shutdown().ok());
 }
 
+TEST_F(ShardedEngineTest, CutManifestNamesEachShardsCutCheckpoint) {
+  // Whether the commit runs right after the fleet drained tick T (the cut
+  // records are still in flight) or after more ticks finalized them, the
+  // manifest names the checkpoint each shard's engine started at T.
+  for (const uint64_t ticks_after_cut : {0u, 3u}) {
+    SCOPED_TRACE("ticks after the cut: " + std::to_string(ticks_after_cut));
+    std::filesystem::remove_all(dir_);
+    auto config = Config(AlgorithmKind::kCopyOnUpdate, 3);
+    auto fleet_or = Fleet::Create(config.shard.dir, config);
+    ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+    ShardedEngine& engine = fleet_or.value()->engine();
+    std::vector<StateTable> reference;
+    RunTicks(&engine, 2, &reference);
+    auto cut_or = engine.RequestConsistentCut();
+    ASSERT_TRUE(cut_or.ok());
+    const uint64_t cut_tick = cut_or.value();
+    RunTicks(&engine, cut_tick + 1 - engine.current_tick(), &reference);
+    ASSERT_TRUE(engine.WaitForIdle().ok());
+    RunTicks(&engine, ticks_after_cut, &reference);
+    ASSERT_TRUE(engine.CommitConsistentCut().ok());
+    // Shutdown finalizes a cut record still in flight.
+    ASSERT_TRUE(engine.Shutdown().ok());
+
+    auto manifest_or = ReadCutManifest(config.shard.dir);
+    ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().ToString();
+    ASSERT_EQ(manifest_or->shards.size(), 3u);
+    for (uint32_t i = 0; i < 3; ++i) {
+      const auto& records = engine.shard(i).metrics().checkpoints;
+      const auto cut_record = std::find_if(
+          records.begin(), records.end(), [cut_tick](const auto& record) {
+            return record.cut && record.start_tick == cut_tick;
+          });
+      ASSERT_NE(cut_record, records.end()) << "shard " << i;
+      EXPECT_EQ(manifest_or->shards[i].checkpoint_seq, cut_record->seq)
+          << "shard " << i;
+      EXPECT_EQ(manifest_or->shards[i].consistent_ticks, cut_tick + 1)
+          << "shard " << i;
+    }
+  }
+}
+
+TEST_F(ShardedEngineTest, CutTickEndTickErrorFailsTheCommit) {
+  auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
+  auto fleet_or = Fleet::Create(config.shard.dir, config);
+  ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+  ShardedEngine& engine = fleet_or.value()->engine();
+  std::vector<StateTable> reference;
+  RunTicks(&engine, 2, &reference);
+  auto cut_or = engine.RequestConsistentCut();
+  ASSERT_TRUE(cut_or.ok());
+  const uint64_t cut_tick = cut_or.value();
+  RunTicks(&engine, cut_tick - engine.current_tick(), &reference);
+
+  // Quiesce the fleet so the injection lands on a parked shard, then drive
+  // the cut tick: shard 1's EndTick fails before its cut checkpoint starts.
+  ASSERT_TRUE(engine.WaitForIdle().ok());
+  engine.shard(1).InjectEndTickErrorForTest(Status::IOError("cut tick"));
+  engine.BeginTick();
+  (void)engine.EndTick();  // the error may surface here or at the commit
+
+  const Status commit = engine.CommitConsistentCut();
+  EXPECT_EQ(commit.code(), StatusCode::kIOError) << commit.ToString();
+  EXPECT_EQ(commit.message(), "cut tick");
+  EXPECT_FALSE(engine.cut_in_flight());
+  EXPECT_TRUE(engine.failed());
+  EXPECT_FALSE(std::filesystem::exists(CutManifestPath(config.shard.dir)));
+  EXPECT_FALSE(engine.Shutdown().ok());
+}
+
 TEST_F(ShardedEngineTest, TornCutManifestFallsBackToPerShardRecovery) {
   auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
   auto fleet_or = Fleet::Create(config.shard.dir, config);
